@@ -7,6 +7,17 @@
 
 let fast = Array.exists (String.equal "--fast") Sys.argv
 
+let usage = "Usage: bench [--fast] [--only SECTION] [--domains N] [--seed N] [--json PATH] [--check BASELINE]"
+
+(* A malformed flag value or baseline file is a CLI error: exit 124 with
+   the usage line before any section runs, never an uncaught exception. *)
+let cli_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "bench: %s\n%s\n" msg usage;
+      exit 124)
+    fmt
+
 (* --json FILE: dump every scalar metric the sections register to FILE
    as a flat JSON object, so trend tooling can track runs over time. *)
 let path_after flag =
@@ -26,7 +37,10 @@ let only = path_after "--only"
 
 (* --seed N: seed for the datapath section's payloads, so its checksum
    and count metrics are reproducible (CI pins --seed 42). *)
-let seed = match path_after "--seed" with Some s -> int_of_string s | None -> 42
+let seed =
+  match path_after "--seed" with
+  | None -> 42
+  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> cli_error "--seed expects an integer, got %s" s)
 
 (* --metrics FILE: dump the seed-42 chaos run's shared Obs registry
    (device counters + fleet counters + latency histograms) as Prometheus
@@ -42,11 +56,7 @@ let max_domains =
   | Some s -> (
     match int_of_string_opt s with
     | Some n when n >= 1 -> n
-    | _ ->
-      Printf.eprintf "bench: --domains expects a positive integer, got %s\n" s;
-      Printf.eprintf
-        "Usage: bench [--fast] [--only SECTION] [--domains N] [--seed N] [--json PATH] [--check BASELINE]\n";
-      exit 124)
+    | _ -> cli_error "--domains expects a positive integer, got %s" s)
 
 let metrics : (string * float) list ref = ref []
 let metric name value = metrics := (name, value) :: !metrics
@@ -928,42 +938,72 @@ let datapath_section () =
 (* --check BASELINE: the regression gate                               *)
 (* ------------------------------------------------------------------ *)
 
+type baseline_error =
+  | Unreadable of string  (** the file could not be read *)
+  | Unterminated_key of int  (** byte offset of a key's opening quote *)
+  | Bad_number of { key : string; text : string }
+
+let baseline_error_to_string = function
+  | Unreadable msg -> msg
+  | Unterminated_key at -> Printf.sprintf "key opened at byte %d is never closed" at
+  | Bad_number { key; text } -> Printf.sprintf "%s: %S is not a number" key text
+
 (* Parse the flat { "key": float, ... } format [write_metrics] emits —
    a ~20-line scanner so the gate needs no JSON library in CI. *)
-let parse_flat_json path =
-  let ic = open_in path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+let parse_flat_json s =
   let len = String.length s in
-  let pairs = ref [] in
-  let i = ref 0 in
-  while !i < len do
-    if s.[!i] = '"' then begin
-      let j = String.index_from s (!i + 1) '"' in
-      let key = String.sub s (!i + 1) (j - !i - 1) in
-      let k = ref (j + 1) in
-      while !k < len && (s.[!k] = ':' || s.[!k] = ' ') do
-        incr k
-      done;
-      let e = ref !k in
-      while
-        !e < len && (match s.[!e] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false)
-      do
-        incr e
-      done;
-      if !e > !k then pairs := (key, float_of_string (String.sub s !k (!e - !k))) :: !pairs;
-      i := max (!e) (j + 1)
-    end
-    else incr i
-  done;
-  List.rev !pairs
+  let rec scan i acc =
+    if i >= len then Ok (List.rev acc)
+    else if s.[i] <> '"' then scan (i + 1) acc
+    else
+      match String.index_from_opt s (i + 1) '"' with
+      | None -> Error (Unterminated_key i)
+      | Some j -> (
+        let key = String.sub s (i + 1) (j - i - 1) in
+        let k = ref (j + 1) in
+        while !k < len && (s.[!k] = ':' || s.[!k] = ' ') do
+          incr k
+        done;
+        let e = ref !k in
+        while
+          !e < len && (match s.[!e] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false)
+        do
+          incr e
+        done;
+        let text = String.sub s !k (!e - !k) in
+        if text = "" then scan !e acc
+        else
+          match float_of_string_opt text with
+          | Some v -> scan !e ((key, v) :: acc)
+          | None -> Error (Bad_number { key; text }))
+  in
+  scan 0 []
 
-(* Every key in the committed baseline must be present in this run and
-   within 25% of its baseline value; on top of that, sections carry
-   absolute floors: the DMA bulk path must beat the per-byte engine by
-   at least 10x, and the VF scheduler must hold its fairness bounds
-   (Jain index and worst share error vs configured weights). *)
+(* --check BASELINE: read and parsed at startup, so a bad file fails
+   before any section spends minutes running. *)
+let baseline =
+  match path_after "--check" with
+  | None -> None
+  | Some path -> (
+    let parsed =
+      match In_channel.with_open_bin path In_channel.input_all with
+      | s -> parse_flat_json s
+      | exception Sys_error msg -> Error (Unreadable msg)
+    in
+    match parsed with
+    | Ok pairs -> Some (path, pairs)
+    | Error e -> cli_error "--check %s: %s" path (baseline_error_to_string e))
+
+(* Every key in the committed baseline must be present in this run.
+   Checksums and digests are identities, not measurements, so every key
+   ending in "checksum" or "digest" must match its baseline exactly; any
+   other key must be within 25% of its baseline value. On top of that,
+   sections carry absolute floors: the DMA bulk path must beat the
+   per-byte engine by at least 10x, and the VF scheduler must hold its
+   fairness bounds (Jain index and worst share error vs configured
+   weights). *)
 let check_tolerance = 0.25
+let exact_key key = String.ends_with ~suffix:"checksum" key || String.ends_with ~suffix:"digest" key
 let dma_speedup_floor = 10.
 let vf_jain_floor = 0.95
 let vf_err_ceiling_pct = 5.
@@ -986,10 +1026,9 @@ let fabric_goodput_floor = 0.9
 let section_ran name = only = None || only = Some name
 
 let run_check () =
-  match path_after "--check" with
+  match baseline with
   | None -> ()
-  | Some path ->
-    let baseline = parse_flat_json path in
+  | Some (path, baseline) ->
     let current = List.rev !metrics in
     let failures = ref [] in
     let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
@@ -997,6 +1036,8 @@ let run_check () =
       (fun (key, expect) ->
         match List.assoc_opt key current with
         | None -> fail "%s: present in baseline but missing from this run" key
+        | Some got when exact_key key ->
+          if got <> expect then fail "%s: %.0f vs baseline %.0f (must match exactly)" key got expect
         | Some got ->
           let rel = Float.abs (got -. expect) /. Float.max (Float.abs expect) 1e-9 in
           if rel > check_tolerance then
@@ -1037,12 +1078,6 @@ let run_check () =
        | None -> fail "qos.starved_victims: missing from this run"
      end);
     (if section_ran "ddos" then begin
-       (* The event-stream digest is an identity, not a measurement —
-          exact match or the attack replay is not the committed one. *)
-       (match (List.assoc_opt "ddos.events_digest" baseline, List.assoc_opt "ddos.events_digest" current) with
-       | Some expect, Some got when got <> expect ->
-         fail "ddos.events_digest: %.0f vs baseline %.0f (digests must match exactly)" got expect
-       | _ -> ());
        (match List.assoc_opt "ddos.snic.goodput_ratio" current with
        | Some g when g < ddos_goodput_floor ->
          fail "ddos.snic.goodput_ratio: %.4f is below the %.2f floor" g ddos_goodput_floor
@@ -1061,12 +1096,6 @@ let run_check () =
          [ "ddos.snic.tampered"; "ddos.snic.key_stolen" ]
      end);
     (if section_ran "fabric" then begin
-       (* The event-stream digest is an identity: exact match or the
-          benign replay is not the committed one. *)
-       (match (List.assoc_opt "fabric.events_digest" baseline, List.assoc_opt "fabric.events_digest" current) with
-       | Some expect, Some got when got <> expect ->
-         fail "fabric.events_digest: %.0f vs baseline %.0f (digests must match exactly)" got expect
-       | _ -> ());
        (match List.assoc_opt "fabric.goodput_ratio" current with
        | Some g when g < fabric_goodput_floor ->
          fail "fabric.goodput_ratio: %.4f is below the %.2f floor" g fabric_goodput_floor
@@ -1088,18 +1117,6 @@ let run_check () =
          [ "fabric.adversary_all_rejected"; "fabric.fail_closed"; "fabric.failed_over"; "fabric.consistent" ]
      end);
     (if section_ran "par" then begin
-       (* Digests are identities, not measurements: the generic 25%
-          tolerance band is meaningless for them, so they must match the
-          baseline bit for bit. *)
-       List.iter
-         (fun (key, expect) ->
-           let n = String.length key in
-           if n > 11 && String.sub key 0 4 = "par." && String.sub key (n - 7) 7 = ".digest" then
-             match List.assoc_opt key current with
-             | Some got when got <> expect ->
-               fail "%s: digest %.0f vs baseline %.0f (digests must match exactly)" key got expect
-             | _ -> ())
-         baseline;
        List.iter
          (fun key ->
            match List.assoc_opt key current with
@@ -1113,7 +1130,8 @@ let run_check () =
        | _ -> ()
      end);
     if !failures = [] then
-      Printf.printf "\nbench --check: %d baseline metrics within %.0f%%, absolute floors met\n"
+      Printf.printf
+        "\nbench --check: %d baseline metrics within %.0f%% (checksums and digests exact), absolute floors met\n"
         (List.length baseline) (100. *. check_tolerance)
     else begin
       Printf.printf "\nbench --check FAILED against %s:\n" path;
@@ -1518,8 +1536,5 @@ let () =
     write_metrics ();
     run_check ()
   | Some other ->
-    Printf.eprintf "unknown --only section: %s\n" other;
-    Printf.eprintf "Usage: bench [--fast] [--only SECTION] [--domains N] [--json PATH] [--check BASELINE]\n";
-    Printf.eprintf "  valid sections: datapath, oracle, vf, qos, par, ddos, fabric\n";
-    exit 124
+    cli_error "unknown --only section: %s\n  valid sections: datapath, oracle, vf, qos, par, ddos, fabric" other
   | None -> main ()

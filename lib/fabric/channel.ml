@@ -3,8 +3,7 @@ type tx = {
   t_chan : int;
   mutable t_next : int;
   t_cap : int;
-  mutable t_buf : string list; (* newest first; capped at t_cap *)
-  mutable t_buf_n : int;
+  t_buf : string Queue.t; (* oldest first; at most t_cap payloads *)
   mutable t_sent : int;
   t_tap : string -> unit;
   t_sink : Obs.sink;
@@ -34,7 +33,7 @@ let recv_error_to_string = function
 
 let pair ?(sink = Obs.null) ?(window = 32) ?(buffer = 1024) ?(tap = fun _ -> ()) ~key ~chan () =
   if buffer < 0 then invalid_arg "Fabric.Channel.pair: negative buffer capacity";
-  ( { t_key = key; t_chan = chan; t_next = 0; t_cap = buffer; t_buf = []; t_buf_n = 0; t_sent = 0; t_tap = tap; t_sink = sink },
+  ( { t_key = key; t_chan = chan; t_next = 0; t_cap = buffer; t_buf = Queue.create (); t_sent = 0; t_tap = tap; t_sink = sink },
     {
       r_key = key;
       r_chan = chan;
@@ -51,13 +50,9 @@ let send tx payload =
   let wire = Frame.encode ~key:tx.t_key { Frame.chan = tx.t_chan; seq = tx.t_next; payload } in
   tx.t_next <- tx.t_next + 1;
   tx.t_sent <- tx.t_sent + 1;
-  if tx.t_cap > 0 then begin
-    tx.t_buf <- payload :: tx.t_buf;
-    if tx.t_buf_n >= tx.t_cap then
-      (* Drop the oldest buffered payload; the cap bounds failover state. *)
-      tx.t_buf <- List.filteri (fun i _ -> i < tx.t_cap) tx.t_buf
-    else tx.t_buf_n <- tx.t_buf_n + 1
-  end;
+  Queue.push payload tx.t_buf;
+  (* Drop the oldest buffered payload; the cap bounds failover state. *)
+  if Queue.length tx.t_buf > tx.t_cap then ignore (Queue.pop tx.t_buf);
   Obs.count tx.t_sink Obs.Fabric_tx;
   tx.t_tap wire;
   wire
@@ -85,7 +80,7 @@ let recv rx wire =
       Obs.count rx.r_sink Obs.Fabric_stale_drop;
       Error (Stale f.Frame.seq))
 
-let buffered tx = List.rev tx.t_buf
+let buffered tx = List.of_seq (Queue.to_seq tx.t_buf)
 let sent tx = tx.t_sent
 let delivered rx = rx.r_delivered
 let mac_failures rx = rx.r_mac_fail + rx.r_wrong_chan

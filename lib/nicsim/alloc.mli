@@ -14,7 +14,30 @@
                addr  (u64)
                len   (u64)
                in_use(u64: 0/1)
-    v} *)
+    v}
+
+    {2 DRAM is the only copy}
+
+    No OCaml structure mirrors the table. The §3.3 attacks read and
+    replay it raw, {!Faults} bit rot ({!Physmem.flip_bit}) flips it, and
+    in commodity modes an NF can store into it; real firmware then
+    follows whatever the table says. So every call re-reads the entry
+    count and the descriptors from DRAM, and a descriptor changed behind
+    the allocator's back is followed exactly, down to the same
+    [Invalid_argument] when a corrupted entry count runs the walk off
+    the end of DRAM.
+
+    {2 Cost}
+
+    A call copies the table out of DRAM 128 descriptors (4 KB) at a time
+    with {!Physmem.blit_to_bytes}, into one scratch buffer per allocator
+    (safe because a machine never crosses [lib/par] domains). That is
+    one page resolution per 128 descriptors walked, two when the copy
+    straddles a page boundary (as it does behind the 16-byte header),
+    plus one for the entry count and one or two for each descriptor
+    written back with one 32-byte {!Physmem.blit_from_bytes}. With 256
+    live buffers, an [alloc] plus a [free] of the newest costs 14
+    resolutions; a field-by-field walk cost 2,063. *)
 
 type t
 

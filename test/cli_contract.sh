@@ -187,6 +187,25 @@ if [ -n "$bench" ]; then
       *) fail "'bench --domains $v' printed no usage line" ;;
     esac
   done
+
+  # A malformed --seed or --check baseline is a typed 124 + usage error,
+  # raised before any section runs: not an int_of_string /
+  # float_of_string / Not_found exception (status 2).
+  tmp=$(mktemp -d)
+  trap 'rm -rf "$tmp"' EXIT
+  printf '{\n  "datapath.pktio.forwarded": -\n}\n' > "$tmp/bare_minus.json"
+  printf '{\n  "datapath.pktio.forwarded: 2000\n' > "$tmp/open_key.json"
+  for args in "--seed abc" "--check $tmp/bare_minus.json" "--check $tmp/open_key.json"; do
+    set +e
+    err=$("$bench" --only datapath $args 2>&1 > /dev/null)
+    status=$?
+    set -e
+    [ "$status" -eq 124 ] || fail "'bench $args' exited $status, want 124"
+    case "$err" in
+      *Usage:*) : ;;
+      *) fail "'bench $args' printed no usage line" ;;
+    esac
+  done
 fi
 
-echo "cli contract holds (fleet chaos trace datapath oracle vf qos ddos fabric attacks; --domains; --nf; bench --only)"
+echo "cli contract holds (fleet chaos trace datapath oracle vf qos ddos fabric attacks; --domains; --nf; bench --only, --seed, --check)"

@@ -238,7 +238,23 @@ let test_channel_buffer_and_tap () =
       match Fabric.Frame.decode_exact ~key:key_a w with
       | Ok f -> Alcotest.(check int) "tapped frame on chan 4" 4 f.Fabric.Frame.chan
       | Error e -> Alcotest.fail (Fabric.Frame.error_to_string e))
-    !taps
+    !taps;
+  (* The smallest caps: 0 buffers nothing, 1 only the newest send. *)
+  List.iter
+    (fun (cap, want) ->
+      let tx, _ = Fabric.Channel.pair ~buffer:cap ~key:key_a ~chan:4 () in
+      List.iter (fun p -> ignore (Fabric.Channel.send tx p)) [ "a"; "b"; "c" ];
+      Alcotest.(check (list string)) (Printf.sprintf "cap %d" cap) want (Fabric.Channel.buffered tx))
+    [ (0, []); (1, [ "c" ]) ]
+
+let prop_channel_buffer_keeps_newest =
+  QCheck.Test.make ~name:"channel: buffer = last min(k, cap) sends, oldest first" ~count:200
+    QCheck.(pair (int_bound 8) (int_bound 20))
+    (fun (cap, k) ->
+      let tx, _ = Fabric.Channel.pair ~buffer:cap ~key:key_a ~chan:4 () in
+      let sent = List.init k string_of_int in
+      List.iter (fun p -> ignore (Fabric.Channel.send tx p)) sent;
+      Fabric.Channel.buffered tx = List.filteri (fun i _ -> i >= k - min k cap) sent)
 
 (* ---------- Endpoint establishment (live S-NIC attestation) ---------- *)
 
@@ -424,6 +440,7 @@ let suite =
     Alcotest.test_case "channel wrong channel" `Quick test_channel_wrong_channel;
     Alcotest.test_case "channel garbage" `Quick test_channel_garbage;
     Alcotest.test_case "channel buffer + tap" `Quick test_channel_buffer_and_tap;
+    QCheck_alcotest.to_alcotest prop_channel_buffer_keeps_newest;
     Alcotest.test_case "establish loopback" `Quick test_establish_loopback;
     Alcotest.test_case "establish dead endpoint" `Quick test_establish_dead_endpoint;
     Alcotest.test_case "establish mis-staged image" `Quick test_establish_misstaged_image;

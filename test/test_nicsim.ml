@@ -758,3 +758,81 @@ let test_pktio_reserved_order_insensitive () =
 
 let suite =
   suite @ [ Alcotest.test_case "pktio reserved sums ignore insertion order" `Quick test_pktio_reserved_order_insensitive ]
+
+(* ---------- Alloc: DRAM is the only copy of allocator state ---------- *)
+
+(* The descriptor of the live buffer at [addr], located the way the §3.3
+   attacks locate one: by walking the raw metadata. *)
+let desc_of m a addr =
+  let base = Alloc.metadata_base a in
+  let rec go i =
+    if i >= Physmem.read_u64 m (base + 8) then Alcotest.failf "no descriptor for %#x" addr
+    else begin
+      let d = base + 16 + (i * Alloc.desc_size) in
+      if Physmem.read_u64 m (d + 8) = addr && Physmem.read_u64 m (d + 24) = 1 then d else go (i + 1)
+    end
+  in
+  go 0
+
+let test_alloc_follows_bit_rot () =
+  let m, a = make_alloc () in
+  let pre = Option.get (Alloc.alloc a ~owner:(Physmem.Nf 0) 4096) in
+  let victim = Option.get (Alloc.alloc a ~owner:(Physmem.Nf 1) 4096) in
+  ignore (Alloc.alloc a ~owner:(Physmem.Nf 2) 4096);
+  (* Rot clears the victim's in_use bit: the firmware now sees a free
+     slot, whatever any earlier walk saw. *)
+  Physmem.flip_bit m ~pos:(desc_of m a victim + 24) ~bit:0;
+  Alcotest.(check bool) "live no longer lists the victim" false
+    (List.exists (fun (_, addr, _) -> addr = victim) (Alloc.live a));
+  Alcotest.(check int) "two still live" 2 (List.length (Alloc.live a));
+  Alcotest.(check (option int)) "next alloc reuses the rotted slot" (Some victim)
+    (Alloc.alloc a ~owner:(Physmem.Nf 3) 4096);
+  Alcotest.(check bool) "victim's page handed to the new owner" true
+    (Physmem.owner_equal (Physmem.Nf 3) (Physmem.owner_of m victim));
+  Alcotest.(check bool) "untouched buffer keeps its owner" true
+    (Physmem.owner_equal (Physmem.Nf 0) (Physmem.owner_of m pre))
+
+(* An NF stores a victim's address into a free descriptor. Commodity
+   firmware follows the poisoned table and hands the victim's page to
+   the next caller; S-NIC refuses the store, so the table stays sound. *)
+let test_alloc_follows_nf_store () =
+  let poisoned mode =
+    let m = Machine.create (Machine.default_config ~mode) in
+    let a = Machine.alloc m in
+    let spare = Option.get (Alloc.alloc a ~owner:(Physmem.Nf 0) 4096) in
+    let victim = Option.get (Alloc.alloc a ~owner:(Physmem.Nf 1) 4096) in
+    let d = desc_of (Machine.mem m) a spare in
+    Alloc.free a spare;
+    let store = Machine.store_u64 m (Machine.Nf_code 0) (Machine.Phys (d + 8)) victim in
+    (store, spare, victim, Alloc.alloc a ~owner:(Physmem.Nf 0) 4096)
+  in
+  (match poisoned Machine.Agilio with
+  | Ok (), _, victim, got -> Alcotest.(check (option int)) "Agilio: alloc returns the victim's buffer" (Some victim) got
+  | Error e, _, _, _ -> Alcotest.failf "Agilio: store refused: %s" (Machine.fault_to_string e));
+  match poisoned Machine.Snic with
+  | Error (Machine.Denied _), spare, _, got -> Alcotest.(check (option int)) "S-NIC: alloc unaffected" (Some spare) got
+  | Error e, _, _, _ -> Alcotest.failf "S-NIC: wrong fault: %s" (Machine.fault_to_string e)
+  | Ok (), _, _, _ -> Alcotest.fail "S-NIC: NF store into allocator metadata was allowed"
+
+(* The walk copies descriptors a page at a time: with 256 live buffers,
+   an alloc plus a free of the newest walks 513 descriptors for a
+   handful of page resolutions, not one per descriptor field. *)
+let test_alloc_walk_cost () =
+  let m = Physmem.create ~size:(16 * mb) in
+  let a = Alloc.init m ~base:0x10000 ~heap_base:(8 * mb) ~heap_size:(8 * mb) ~max_entries:512 in
+  for _ = 1 to 256 do
+    ignore (Option.get (Alloc.alloc a ~owner:Physmem.Nic_os 4096))
+  done;
+  let r0 = Physmem.resolutions m in
+  let newest = Option.get (Alloc.alloc a ~owner:Physmem.Nic_os 4096) in
+  Alloc.free a newest;
+  let cost = Physmem.resolutions m - r0 in
+  if cost > 24 then Alcotest.failf "alloc + free over 256 live buffers cost %d page resolutions (ceiling 24)" cost
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "alloc follows bit rot in DRAM" `Quick test_alloc_follows_bit_rot;
+      Alcotest.test_case "alloc follows NF metadata store" `Quick test_alloc_follows_nf_store;
+      Alcotest.test_case "alloc walk cost per page" `Quick test_alloc_walk_cost;
+    ]

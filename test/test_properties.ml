@@ -234,6 +234,220 @@ let prop_bulk_blits_match_perbyte =
       done;
       !ok)
 
+(* ---------- allocator walk vs the field-by-field reference ---------- *)
+
+(* The allocator as it was before its walk copied descriptors a page at
+   a time: every descriptor field is one [Physmem.read_u64]. Kept here as
+   the reference the windowed walk must match, result for result and
+   byte for byte, even on metadata that bit rot or raw stores corrupted. *)
+module Field_walk = struct
+  type t = { mem : Physmem.t; base : int; heap_base : int; heap_size : int; max_entries : int; mutable bump : int }
+
+  let owner_code = function Physmem.Nic_os -> 0 | Physmem.Nf k -> k + 1 | Physmem.Free -> invalid_arg "Alloc: Free owner"
+
+  let init mem ~base ~heap_base ~heap_size ~max_entries =
+    let meta_len = 16 + (max_entries * 32) in
+    Physmem.write_bytes mem ~pos:base Alloc.magic;
+    Physmem.write_u64 mem (base + 8) 0;
+    let page = Physmem.page_size in
+    let align v = (v + page - 1) land lnot (page - 1) in
+    Physmem.set_owner mem ~pos:(base land lnot (page - 1)) ~len:(align meta_len + page) Physmem.Nic_os;
+    { mem; base; heap_base; heap_size; max_entries; bump = 0 }
+
+  let entry_count t = Physmem.read_u64 t.mem (t.base + 8)
+  let desc_addr t i = t.base + 16 + (i * 32)
+
+  let read_desc t i =
+    let d = desc_addr t i in
+    ( Physmem.read_u64 t.mem d,
+      Physmem.read_u64 t.mem (d + 8),
+      Physmem.read_u64 t.mem (d + 16),
+      Physmem.read_u64 t.mem (d + 24) )
+
+  let write_desc t i ~owner ~addr ~len ~in_use =
+    let d = desc_addr t i in
+    Physmem.write_u64 t.mem d owner;
+    Physmem.write_u64 t.mem (d + 8) addr;
+    Physmem.write_u64 t.mem (d + 16) len;
+    Physmem.write_u64 t.mem (d + 24) (if in_use then 1 else 0)
+
+  let page_align v = (v + Physmem.page_size - 1) land lnot (Physmem.page_size - 1)
+
+  let alloc t ?(align = Physmem.page_size) ~owner len =
+    if len <= 0 then invalid_arg "Alloc.alloc: non-positive length";
+    if align <= 0 || align land (align - 1) <> 0 then invalid_arg "Alloc.alloc: alignment must be a power of two";
+    let align = max align Physmem.page_size in
+    let alen = page_align len in
+    let n = entry_count t in
+    let rec find_slot i =
+      if i >= n then None
+      else begin
+        let _, addr, slot_len, in_use = read_desc t i in
+        if in_use = 0 && slot_len >= alen && addr land (align - 1) = 0 then Some (i, addr, slot_len)
+        else find_slot (i + 1)
+      end
+    in
+    let slot =
+      match find_slot 0 with
+      | Some s -> Some s
+      | None ->
+        let start = (t.heap_base + t.bump + align - 1) land lnot (align - 1) in
+        let off = start - t.heap_base in
+        if off + alen > t.heap_size || n >= t.max_entries then None
+        else begin
+          t.bump <- off + alen;
+          Physmem.write_u64 t.mem (t.base + 8) (n + 1);
+          Some (n, start, alen)
+        end
+    in
+    match slot with
+    | None -> None
+    | Some (i, addr, alen) ->
+      write_desc t i ~owner:(owner_code owner) ~addr ~len:alen ~in_use:true;
+      Physmem.set_owner t.mem ~pos:addr ~len:alen owner;
+      Some addr
+
+  let free t addr =
+    let n = entry_count t in
+    let rec go i =
+      if i >= n then invalid_arg "Alloc.free: unknown address"
+      else begin
+        let owner, a, len, in_use = read_desc t i in
+        if a = addr && in_use = 1 then begin
+          write_desc t i ~owner ~addr:a ~len ~in_use:false;
+          Physmem.set_owner t.mem ~pos:a ~len Physmem.Free
+        end
+        else go (i + 1)
+      end
+    in
+    go 0
+
+  let live t =
+    let n = entry_count t in
+    let rec go i acc =
+      if i >= n then List.rev acc
+      else begin
+        let owner, addr, len, in_use = read_desc t i in
+        if in_use = 1 then begin
+          let o = if owner = 0 then Physmem.Nic_os else Physmem.Nf (owner - 1) in
+          go (i + 1) ((o, addr, len) :: acc)
+        end
+        else go (i + 1) acc
+      end
+    in
+    go 0 []
+end
+
+type alloc_op =
+  | Op_alloc of int * int * int (* owner code, length, log2 alignment *)
+  | Op_free of int (* picks one of the addresses handed out so far *)
+  | Op_free_raw of int
+  | Op_live
+  | Op_flip of int * int (* metadata byte offset, bit *)
+  | Op_poke of int * int (* word: -1 = entry count, else descriptor word index; value *)
+
+let show_alloc_op = function
+  | Op_alloc (o, len, al) -> Printf.sprintf "alloc(owner=%d, len=%d, align=2^%d)" o len al
+  | Op_free k -> Printf.sprintf "free(#%d)" k
+  | Op_free_raw a -> Printf.sprintf "free(%#x)" a
+  | Op_live -> "live"
+  | Op_flip (off, bit) -> Printf.sprintf "flip(meta+%d, bit %d)" off bit
+  | Op_poke (w, v) -> Printf.sprintf "poke(%s, %d)" (if w < 0 then "count" else Printf.sprintf "word %d" w) v
+
+(* A small DRAM whose end is close to the metadata, so corrupted counts
+   walk off it. Two of the bases sit off any word boundary, so
+   descriptors and walk windows straddle pages and the end of DRAM at
+   odd offsets too. *)
+let walk_dram = 16 * Physmem.page_size
+let walk_max_entries = 40
+
+let prop_alloc_walk_matches_field_walk =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [
+        (3, int_range 0 3);
+        (3, map (fun p -> p * Physmem.page_size) (int_range (-2) 20));
+        (2, int_range (-4) (-1));
+        (2, int_range 0 2200) (* entry counts up to and past the end of DRAM *);
+        (2, oneofl [ max_int; min_int; max_int / 32; min_int / 32; -(1 lsl 58) ]);
+        (2, int);
+      ]
+  in
+  let op =
+    frequency
+      [
+        ( 6,
+          map3
+            (fun o len al -> Op_alloc (o, len, al))
+            (int_range 0 3)
+            (int_range 1 (3 * Physmem.page_size))
+            (int_range 12 14) );
+        (4, map (fun k -> Op_free k) nat);
+        (1, map (fun a -> Op_free_raw a) (map (fun p -> p * Physmem.page_size) (int_range 0 16)));
+        (2, return Op_live);
+        (3, map2 (fun off bit -> Op_flip (off, bit)) (int_range 0 (16 + (walk_max_entries * 32) - 1)) (int_range 0 7));
+        (3, map2 (fun w v -> Op_poke (w, v)) (int_range 0 ((walk_max_entries * 4) - 1)) value);
+        (1, map (fun v -> Op_poke (-1, v)) value);
+      ]
+  in
+  let gen = pair (oneofl [ 0x1000; 0x1008; 0x1f03; 0x2ff5 ]) (list_size (int_range 1 40) op) in
+  let print (base, ops) = Printf.sprintf "base %#x: %s" base (String.concat "; " (List.map show_alloc_op ops)) in
+  QCheck.Test.make ~name:"alloc page walk = field-by-field walk under corruption" ~count:500 (QCheck.make ~print gen)
+    (fun (base, ops) ->
+      let heap_base = 5 * Physmem.page_size in
+      let heap_size = walk_dram - heap_base in
+      let mem_new = Physmem.create ~size:walk_dram and mem_ref = Physmem.create ~size:walk_dram in
+      let a = Alloc.init mem_new ~base ~heap_base ~heap_size ~max_entries:walk_max_entries in
+      let r = Field_walk.init mem_ref ~base ~heap_base ~heap_size ~max_entries:walk_max_entries in
+      let handed = ref [] in
+      let outcome f = match f () with v -> v | exception Invalid_argument msg -> "raised " ^ msg in
+      let show_addr = function Some a -> Printf.sprintf "Some %#x" a | None -> "None" in
+      let show_live l =
+        String.concat "," (List.map (fun (o, addr, len) -> Format.asprintf "%a@%#x+%d" Physmem.pp_owner o addr len) l)
+      in
+      let step op =
+        let both f_new f_ref = (outcome f_new, outcome f_ref) in
+        match op with
+        | Op_alloc (o, len, al) ->
+          let owner = if o = 0 then Physmem.Nic_os else Physmem.Nf (o - 1) and align = 1 lsl al in
+          both
+            (fun () ->
+              let got = Alloc.alloc a ~align ~owner len in
+              Option.iter (fun addr -> handed := addr :: !handed) got;
+              show_addr got)
+            (fun () -> show_addr (Field_walk.alloc r ~align ~owner len))
+        | Op_free k | Op_free_raw k ->
+          let addr =
+            match (op, !handed) with Op_free _, (_ :: _ as h) -> List.nth h (k mod List.length h) | _ -> k
+          in
+          both (fun () -> Alloc.free a addr; "ok") (fun () -> Field_walk.free r addr; "ok")
+        | Op_live -> both (fun () -> show_live (Alloc.live a)) (fun () -> show_live (Field_walk.live r))
+        | Op_flip (off, bit) ->
+          Physmem.flip_bit mem_new ~pos:(base + off) ~bit;
+          Physmem.flip_bit mem_ref ~pos:(base + off) ~bit;
+          ("", "")
+        | Op_poke (w, v) ->
+          let pos = if w < 0 then base + 8 else base + 16 + (8 * w) in
+          Physmem.write_u64 mem_new pos v;
+          Physmem.write_u64 mem_ref pos v;
+          ("", "")
+      in
+      let rec run = function
+        | [] -> true
+        | op :: rest ->
+          let got, want = step op in
+          if got <> want then
+            QCheck.Test.fail_reportf "%s: windowed walk gave %S, field walk %S" (show_alloc_op op) got want
+          else run rest
+      in
+      let ops_agree = run ops in
+      let dram m = Physmem.read_bytes m ~pos:0 ~len:walk_dram in
+      let owners m = List.init (walk_dram / Physmem.page_size) (fun p -> Physmem.owner_of m (p * Physmem.page_size)) in
+      ops_agree
+      && (dram mem_new = dram mem_ref || QCheck.Test.fail_report "final DRAM bytes differ")
+      && (owners mem_new = owners mem_ref || QCheck.Test.fail_report "final page owners differ"))
+
 let prop_cipher_nonce_separation =
   QCheck.Test.make ~name:"cipher keystreams differ across nonces" ~count:100
     (QCheck.string_of_size (QCheck.Gen.int_range 16 64))
@@ -264,4 +478,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_wire_rejects_wrong_arity;
     QCheck_alcotest.to_alcotest prop_cipher_nonce_separation;
     QCheck_alcotest.to_alcotest prop_bulk_blits_match_perbyte;
+    QCheck_alcotest.to_alcotest prop_alloc_walk_matches_field_walk;
   ]
