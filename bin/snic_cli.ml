@@ -75,6 +75,15 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
+(* After the summaries are printed: exit 1 if any run (one, or every
+   shard) fails a gate from its report's own list. *)
+let exit_on_failed_gates cmd gates runs =
+  match Obs.Gate.failed (List.concat_map gates (Array.to_list runs)) with
+  | [] -> ()
+  | failed ->
+    List.iter (fun g -> Printf.eprintf "%s: FAIL %s\n" cmd (Obs.Gate.to_string g)) failed;
+    exit 1
+
 let attacks_cmd =
   let run () =
     List.iter
@@ -324,7 +333,7 @@ let fleet_cmd =
           end
         end;
         (match metrics with Some path -> write_file path (Fleet.Telemetry.prometheus telemetry) | None -> ());
-        if report.Fleet.Scenario.unattested_running > 0 || report.Fleet.Scenario.scrub_failures > 0 then exit 1
+        exit_on_failed_gates "fleet" Fleet.Scenario.gates [| report |]
       end
       else begin
         if csv || json then begin
@@ -341,11 +350,7 @@ let fleet_cmd =
         | Some path ->
           write_file path (Obs.Metrics.prometheus (merged_shard_registry ~domains ~shards results))
         | None -> ());
-        if
-          Array.exists
-            (fun (r, _) -> r.Fleet.Scenario.unattested_running > 0 || r.Fleet.Scenario.scrub_failures > 0)
-            results
-        then exit 1
+        exit_on_failed_gates "fleet" (fun (r, _) -> Fleet.Scenario.gates r) results
       end
   in
   Cmd.v
@@ -411,7 +416,7 @@ let chaos_cmd =
           end
         end;
         (match metrics with Some path -> write_file path (Fleet.Telemetry.prometheus telemetry) | None -> ());
-        if report.Fleet.Chaos.unattested_running > 0 || report.Fleet.Chaos.scrub_failures > 0 then exit 1
+        exit_on_failed_gates "chaos" Fleet.Chaos.gates [| report |]
       end
       else begin
         if json then begin
@@ -432,11 +437,7 @@ let chaos_cmd =
         | Some path ->
           write_file path (Obs.Metrics.prometheus (merged_shard_registry ~domains ~shards results))
         | None -> ());
-        if
-          Array.exists
-            (fun (r, _) -> r.Fleet.Chaos.unattested_running > 0 || r.Fleet.Chaos.scrub_failures > 0)
-            results
-        then exit 1
+        exit_on_failed_gates "chaos" (fun (r, _) -> Fleet.Chaos.gates r) results
       end
   in
   Cmd.v
@@ -634,16 +635,8 @@ let vf_cmd =
          & info [ "cycles" ] ~docv:"C" ~doc:"Stage-1 scheduler rotations to serve (convergence depth)")
   in
   let quantum = Arg.(value & opt int 1024 & info [ "quantum" ] ~docv:"BYTES" ~doc:"Stage-1 byte quantum per weight unit") in
-  let min_jain =
-    Arg.(value & opt float 0.95
-         & info [ "min-jain" ] ~docv:"F" ~doc:"Exit 1 if any NIC's weighted Jain index falls below $(docv)")
-  in
-  let max_err =
-    Arg.(value & opt float 5.0
-         & info [ "max-err" ] ~docv:"PCT" ~doc:"Exit 1 if any tenant's goodput share misses its weight share by more than $(docv)%%")
-  in
   let shares = Arg.(value & flag & info [ "shares" ] ~doc:"Print the per-tenant share table of the first NIC") in
-  let run seed nics vfs cycles quantum min_jain max_err shares =
+  let run seed nics vfs cycles quantum shares =
     let fail msg =
       prerr_endline msg;
       exit 2
@@ -665,19 +658,12 @@ let vf_cmd =
     if secs > 0. then
       Printf.printf "throughput: %.0f scheduled pkts/sec (wall, non-deterministic)\n"
         (float_of_int r.Vf.Scenario.total_pkts /. secs);
-    if r.Vf.Scenario.jain_min < min_jain then begin
-      Printf.eprintf "vf: FAIL jain %.4f below floor %.4f\n" r.Vf.Scenario.jain_min min_jain;
-      exit 1
-    end;
-    if 100. *. r.Vf.Scenario.max_rel_err > max_err then begin
-      Printf.eprintf "vf: FAIL share error %.2f%% above ceiling %.2f%%\n" (100. *. r.Vf.Scenario.max_rel_err) max_err;
-      exit 1
-    end
+    exit_on_failed_gates "vf" Vf.Scenario.gates [| r |]
   in
   Cmd.v
     (Cmd.info "vf"
        ~doc:"SR-IOV virtual functions: saturate every VF and check the two-stage scheduler's weighted fairness")
-    Term.(const run $ seed_arg $ nics $ vfs $ cycles $ quantum $ min_jain $ max_err $ shares)
+    Term.(const run $ seed_arg $ nics $ vfs $ cycles $ quantum $ shares)
 
 let qos_cmd =
   let tenants = Arg.(value & opt int 8 & info [ "tenants" ] ~docv:"N" ~doc:"Tenants (tenant 0 is the aggressor)") in
@@ -686,16 +672,7 @@ let qos_cmd =
   let factor = Arg.(value & opt int 8 & info [ "factor" ] ~docv:"X" ~doc:"Aggressor load multiplier") in
   let slo = Arg.(value & opt int 2000 & info [ "slo" ] ~docv:"CYCLES" ~doc:"Victim latency SLO in cycles") in
   let starve = Arg.(value & flag & info [ "starve" ] ~doc:"Starvation variant: zero structural slack (capacity = sum of guarantees)") in
-  let min_share =
-    Arg.(value & opt float 0.9
-         & info [ "min-share" ] ~docv:"F" ~doc:"Exit 1 if any victim keeps less than $(docv) of its guaranteed share")
-  in
-  let max_p99 =
-    Arg.(value & opt (some float) None
-         & info [ "max-victim-p99" ] ~docv:"CYCLES"
-             ~doc:"Exit 1 if steady-state victim p99 exceeds $(docv) (default: the SLO)")
-  in
-  let run seed tenants rounds requests factor slo starve min_share max_p99 =
+  let run seed tenants rounds requests factor slo starve =
     let fail msg =
       prerr_endline msg;
       exit 2
@@ -719,26 +696,12 @@ let qos_cmd =
     in
     let report, _sup = Fleet.Chaos.run_qos config in
     print_string (Fleet.Chaos.qos_summary report);
-    if report.Fleet.Chaos.q_starved > 0 then begin
-      Printf.eprintf "qos: FAIL %d victim(s) starved (zero grants)\n" report.Fleet.Chaos.q_starved;
-      exit 1
-    end;
-    if report.Fleet.Chaos.q_share_min < min_share then begin
-      Printf.eprintf "qos: FAIL guaranteed share %.4f below floor %.4f\n" report.Fleet.Chaos.q_share_min
-        min_share;
-      exit 1
-    end;
-    let ceiling = Option.value max_p99 ~default:(float_of_int slo) in
-    match report.Fleet.Chaos.q_victim_p99_steady with
-    | Some p99 when p99 > ceiling ->
-      Printf.eprintf "qos: FAIL steady-state victim p99 %.0f above ceiling %.0f cycles\n" p99 ceiling;
-      exit 1
-    | _ -> ()
+    exit_on_failed_gates "qos" Fleet.Chaos.qos_gates [| report |]
   in
   Cmd.v
     (Cmd.info "qos"
        ~doc:"Per-tenant performance isolation: QoS credits on the shared fabric, latency SLOs and noisy-neighbor quarantine")
-    Term.(const run $ seed_arg $ tenants $ rounds $ requests $ factor $ slo $ starve $ min_share $ max_p99)
+    Term.(const run $ seed_arg $ tenants $ rounds $ requests $ factor $ slo $ starve)
 
 let ddos_cmd =
   let flows = Arg.(value & opt int 256 & info [ "flows" ] ~docv:"N" ~doc:"Benign flows") in
@@ -751,12 +714,7 @@ let ddos_cmd =
   let log2_buckets =
     Arg.(value & opt int 10 & info [ "log2-buckets" ] ~docv:"B" ~doc:"Whitelist cuckoo filter: 2^$(docv) buckets x 4 slots")
   in
-  let min_goodput =
-    Arg.(value & opt float 0.8
-         & info [ "min-goodput" ] ~docv:"F"
-             ~doc:"Exit 1 if S-NIC-mode benign goodput under attack falls below $(docv) of the attack-free baseline")
-  in
-  let run seed flows factor pkts log2_buckets min_goodput =
+  let run seed flows factor pkts log2_buckets =
     let fail msg =
       prerr_endline msg;
       exit 2
@@ -765,7 +723,6 @@ let ddos_cmd =
     if factor < 1 then fail "ddos: --factor must be >= 1";
     if pkts < 1 then fail "ddos: --pkts-per-flow must be >= 1";
     if log2_buckets < 1 || log2_buckets > 28 then fail "ddos: --log2-buckets must be in 1..28";
-    if min_goodput < 0. || min_goodput > 1. then fail "ddos: --min-goodput must be in [0,1]";
     let config =
       {
         Fleet.Chaos.default_ddos_config with
@@ -778,25 +735,12 @@ let ddos_cmd =
     in
     let r = Fleet.Chaos.run_ddos config in
     print_string (Fleet.Chaos.ddos_summary r);
-    if r.Fleet.Chaos.d_snic_tampered || r.Fleet.Chaos.d_snic_key_stolen then begin
-      Printf.eprintf "ddos: FAIL S-NIC mode let the attacker reach NF memory (tampered=%b key_stolen=%b)\n"
-        r.Fleet.Chaos.d_snic_tampered r.Fleet.Chaos.d_snic_key_stolen;
-      exit 1
-    end;
-    if not r.Fleet.Chaos.d_snic_mem_flat then begin
-      Printf.eprintf "ddos: FAIL S-NIC-mode defense memory grew above its fixed reservation\n";
-      exit 1
-    end;
-    if r.Fleet.Chaos.d_snic_goodput_ratio < min_goodput then begin
-      Printf.eprintf "ddos: FAIL S-NIC-mode benign goodput %.4f below floor %.4f\n"
-        r.Fleet.Chaos.d_snic_goodput_ratio min_goodput;
-      exit 1
-    end
+    exit_on_failed_gates "ddos" Fleet.Chaos.ddos_gates [| r |]
   in
   Cmd.v
     (Cmd.info "ddos"
        ~doc:"CuckooGuard under a SYN flood: SYN-cookie proxy + cuckoo-filter whitelist across all five protection modes")
-    Term.(const run $ seed_arg $ flows $ factor $ pkts $ log2_buckets $ min_goodput)
+    Term.(const run $ seed_arg $ flows $ factor $ pkts $ log2_buckets)
 
 let fabric_cmd =
   let nics = Arg.(value & opt int 3 & info [ "nics" ] ~docv:"N" ~doc:"NICs in the rack (proxy, tracker, spare)") in
@@ -814,12 +758,7 @@ let fabric_cmd =
   let reorder = Arg.(value & opt int 24 & info [ "reorder" ] ~docv:"N" ~doc:"Adversarial pre-window re-deliveries") in
   let tamper = Arg.(value & opt int 16 & info [ "tamper" ] ~docv:"N" ~doc:"Adversarial bit-flipped frames") in
   let no_kill = Arg.(value & flag & info [ "no-kill" ] ~doc:"Skip the mid-run tracker-NIC kill and failover") in
-  let min_goodput =
-    Arg.(value & opt float 0.9
-         & info [ "min-goodput" ] ~docv:"F"
-             ~doc:"Exit 1 if goodput with the failover falls below $(docv) of the failure-free baseline")
-  in
-  let run seed nics flows pkts window buffer replay reorder tamper no_kill min_goodput metrics domains shards =
+  let run seed nics flows pkts window buffer replay reorder tamper no_kill metrics domains shards =
     let fail msg =
       prerr_endline msg;
       exit 2
@@ -831,7 +770,6 @@ let fabric_cmd =
     if buffer < 0 then fail "fabric: --buffer must be >= 0";
     if replay < 0 || reorder < 0 || tamper < 0 then
       fail "fabric: --replay/--reorder/--tamper must be >= 0";
-    if min_goodput < 0. || min_goodput > 1. then fail "fabric: --min-goodput must be in [0,1]";
     let config =
       {
         Fleet.Chaos.default_fabric_config with
@@ -847,40 +785,6 @@ let fabric_cmd =
         f_kill = not no_kill;
       }
     in
-    (* The gates the CI fabric-smoke job pins: an authenticated channel
-       must bounce every forged/replayed frame, never a benign one, and
-       the failover must not cost goodput. *)
-    let gate (r : Fleet.Chaos.fabric_report) =
-      if r.Fleet.Chaos.f_benign_mac_failures > 0 then begin
-        Printf.eprintf "fabric: FAIL %d benign frame(s) tripped the authenticator\n"
-          r.Fleet.Chaos.f_benign_mac_failures;
-        exit 1
-      end;
-      if r.Fleet.Chaos.f_replay_rejected <> r.Fleet.Chaos.f_replay_sent then begin
-        Printf.eprintf "fabric: FAIL replay rejections %d/%d\n" r.Fleet.Chaos.f_replay_rejected
-          r.Fleet.Chaos.f_replay_sent;
-        exit 1
-      end;
-      if r.Fleet.Chaos.f_stale_rejected <> r.Fleet.Chaos.f_stale_sent then begin
-        Printf.eprintf "fabric: FAIL stale rejections %d/%d\n" r.Fleet.Chaos.f_stale_rejected
-          r.Fleet.Chaos.f_stale_sent;
-        exit 1
-      end;
-      if r.Fleet.Chaos.f_tamper_rejected <> r.Fleet.Chaos.f_tamper_sent then begin
-        Printf.eprintf "fabric: FAIL tamper rejections %d/%d\n" r.Fleet.Chaos.f_tamper_rejected
-          r.Fleet.Chaos.f_tamper_sent;
-        exit 1
-      end;
-      if not (Fleet.Chaos.fabric_fail_closed r) then begin
-        prerr_endline "fabric: FAIL an establishment that had to be refused was accepted";
-        exit 1
-      end;
-      if r.Fleet.Chaos.f_goodput_ratio < min_goodput then begin
-        Printf.eprintf "fabric: FAIL goodput ratio %.4f below floor %.4f\n" r.Fleet.Chaos.f_goodput_ratio
-          min_goodput;
-        exit 1
-      end
-    in
     let shards = Option.value shards ~default:1 in
     if shards = 1 then begin
       let sink = if metrics = None then Obs.null else Obs.create () in
@@ -889,7 +793,7 @@ let fabric_cmd =
       (match (metrics, Obs.registry sink) with
       | Some path, Some reg -> write_file path (Obs.Metrics.prometheus reg)
       | _ -> ());
-      gate r
+      exit_on_failed_gates "fabric" Fleet.Chaos.fabric_gates [| r |]
     end
     else begin
       if metrics <> None then begin
@@ -902,7 +806,7 @@ let fabric_cmd =
           Printf.printf "=== shard %d (seed %d) ===\n" i r.Fleet.Chaos.f_config.Fleet.Chaos.f_seed;
           print_string (Fleet.Chaos.fabric_summary r))
         reports;
-      Array.iter gate reports
+      exit_on_failed_gates "fabric" Fleet.Chaos.fabric_gates reports
     end
   in
   Cmd.v
@@ -910,7 +814,7 @@ let fabric_cmd =
        ~doc:"Attested NIC-to-NIC fabric: cross-NIC CuckooGuard chain, mid-run failover, adversarial wire replay")
     Term.(
       const run $ seed_arg $ nics $ flows $ pkts $ window $ buffer $ replay $ reorder $ tamper $ no_kill
-      $ min_goodput $ metrics_arg $ domains_arg $ shards_arg)
+      $ metrics_arg $ domains_arg $ shards_arg)
 
 let trace_cmd =
   let scenario =

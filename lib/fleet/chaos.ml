@@ -657,6 +657,18 @@ let qos_summary r =
     (if (List.hd r.q_outcomes).qt_quarantined then 1 else 0);
   Buffer.contents b
 
+let qos_gates r =
+  Obs.Gate.
+    [
+      { key = "share_min"; value = Some r.q_share_min; rule = At_least 0.9 };
+      {
+        key = "victim_p99_steady_cycles";
+        value = r.q_victim_p99_steady;
+        rule = At_most (float_of_int r.q_config.q_slo);
+      };
+      { key = "starved_victims"; value = int r.q_starved; rule = Equals 0. };
+    ]
+
 (* "-" rather than a fabricated 0.00ms when there are too few samples
    for the quantile to mean anything. *)
 let quantile_str = function None -> "-" | Some v -> Printf.sprintf "%.2fms" v
@@ -696,6 +708,13 @@ let summary r =
     r.unattested_running r.scrub_failures r.max_unattested_observed;
   Buffer.contents b
 
+let gates r =
+  Obs.Gate.
+    [
+      { key = "unattested_running"; value = int r.unattested_running; rule = Equals 0. };
+      { key = "scrub_failures"; value = int r.scrub_failures; rule = Equals 0. };
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* DDoS: CuckooGuard SYN-proxy pair under adversarial traffic          *)
 (* ------------------------------------------------------------------ *)
@@ -733,16 +752,6 @@ let default_ddos_config =
     d_corrupt_period = 8;
     d_modes = ddos_modes;
   }
-
-(* Short mode ids, kept in sync with [Oracle.Campaign.mode_id] (fleet
-   does not link the oracle, so the strings are mirrored here). *)
-let ddos_mode_id = function
-  | Machine.Liquidio_se_s -> "se-s"
-  | Machine.Liquidio_se_um { nf_xkphys = false } -> "se-um"
-  | Machine.Liquidio_se_um { nf_xkphys = true } -> "se-um-xk"
-  | Machine.Agilio -> "agilio"
-  | Machine.Bluefield -> "bluefield"
-  | Machine.Snic -> "snic"
 
 type ddos_mode_report = {
   dm_mode : Machine.mode;
@@ -1025,7 +1034,7 @@ let ddos_summary r =
       Printf.bprintf b
         "  mode %-9s: tampered=%d key_stolen=%d goodput=%.4fx (%d/%d) unprotected=%.4fx attack_dropped=%d/%d \
 benign_dropped=%d forged_admits=%d flips=%d load=%.4f mem=%dB peak=%dB flat=%d\n"
-        (ddos_mode_id m.dm_mode)
+        (Oracle.Campaign.mode_id m.dm_mode)
         (if m.dm_tampered then 1 else 0)
         (if m.dm_key_stolen then 1 else 0)
         m.dm_goodput_ratio m.dm_goodput m.dm_baseline_goodput m.dm_unprotected_ratio m.dm_attack_dropped
@@ -1045,6 +1054,15 @@ benign_dropped=%d forged_admits=%d flips=%d load=%.4f mem=%dB peak=%dB flat=%d\n
     (if r.d_snic_tampered then 1 else 0)
     (if r.d_snic_key_stolen then 1 else 0);
   Buffer.contents b
+
+let ddos_gates r =
+  Obs.Gate.
+    [
+      { key = "snic.goodput_ratio"; value = Some r.d_snic_goodput_ratio; rule = At_least 0.8 };
+      { key = "snic.mem_flat"; value = flag r.d_snic_mem_flat; rule = Equals 1. };
+      { key = "snic.tampered"; value = flag r.d_snic_tampered; rule = Equals 0. };
+      { key = "snic.key_stolen"; value = flag r.d_snic_key_stolen; rule = Equals 0. };
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Fabric: attested NIC-to-NIC channels carrying a cross-NIC NF chain  *)
@@ -1455,3 +1473,18 @@ goodput_ratio=%.4f failover=%d fail_closed=%d\n"
     r.f_tamper_rejected r.f_tamper_sent r.f_goodput_ratio (flag r.f_failed_over)
     (flag (fabric_fail_closed r));
   Buffer.contents b
+
+let fabric_gates r =
+  let all_rejected =
+    r.f_replay_rejected = r.f_replay_sent
+    && r.f_stale_rejected = r.f_stale_sent
+    && r.f_tamper_rejected = r.f_tamper_sent
+  in
+  Obs.Gate.(
+    [
+      { key = "goodput_ratio"; value = Some r.f_goodput_ratio; rule = At_least 0.9 };
+      { key = "benign_mac_failures"; value = int r.f_benign_mac_failures; rule = Equals 0. };
+      { key = "adversary_all_rejected"; value = flag all_rejected; rule = Equals 1. };
+      { key = "fail_closed"; value = flag (fabric_fail_closed r); rule = Equals 1. };
+    ]
+    @ if r.f_config.f_kill then [ { key = "failed_over"; value = flag r.f_failed_over; rule = Equals 1. } ] else [])

@@ -163,6 +163,11 @@ val run_qos : ?sink:Obs.sink -> qos_config -> qos_report * Supervisor.t
     ["invariants: starved_victims=0 share_min=... aggressor_quarantined=1"]. *)
 val qos_summary : qos_report -> string
 
+(** What makes a QoS run pass: [share_min >= 0.9], the steady-state
+    [victim_p99_steady_cycles <= q_slo] (a missing p99 fails), and
+    [starved_victims = 0]. *)
+val qos_gates : qos_report -> Obs.Gate.t list
+
 (** ["-"] for [None], ["12.34ms"] for [Some] — how the summary and the
     bench render optional recovery quantiles. *)
 val quantile_str : float option -> string
@@ -175,6 +180,10 @@ val cycles_str : float option -> string
     ["invariants: unattested_running=0 scrub_failures=0 ..."] on a
     passing run. *)
 val summary : report -> string
+
+(** What makes a storm pass: [unattested_running = 0] and
+    [scrub_failures = 0]. *)
+val gates : report -> Obs.Gate.t list
 
 (** {1 DDoS: the CuckooGuard pair under adversarial traffic}
 
@@ -212,9 +221,6 @@ val ddos_modes : Nicsim.Machine.mode list
 
 val default_ddos_config : ddos_config
 (** Seed 42, 256 benign flows, 10x attack factor, 2^10-bucket whitelist. *)
-
-val ddos_mode_id : Nicsim.Machine.mode -> string
-(** Short id ("se-s" .. "snic"), mirroring [Oracle.Campaign.mode_id]. *)
 
 type ddos_mode_report = {
   dm_mode : Nicsim.Machine.mode;
@@ -264,6 +270,11 @@ val run_ddos : ?sink:Obs.sink -> ddos_config -> ddos_report
     ["invariants: snic_goodput=1.0000 snic_mem_flat=1 snic_tampered=0
     snic_key_stolen=0"] on a passing run. *)
 val ddos_summary : ddos_report -> string
+
+(** What makes a flood run pass, all in S-NIC mode:
+    [snic.goodput_ratio >= 0.8], [snic.mem_flat = 1], [snic.tampered = 0]
+    and [snic.key_stolen = 0]. *)
+val ddos_gates : ddos_report -> Obs.Gate.t list
 
 (** {2 Fabric scenario}
 
@@ -357,3 +368,9 @@ val fabric_summary : fabric_report -> string
     ["invariants: benign_mac_fail=0 replay_rejects=24/24
     stale_rejects=24/24 tamper_rejects=16/16 goodput_ratio=1.0000
     failover=1 fail_closed=1"] on a passing default run. *)
+
+val fabric_gates : fabric_report -> Obs.Gate.t list
+(** What makes a fabric run pass: [goodput_ratio >= 0.9],
+    [benign_mac_failures = 0], [adversary_all_rejected = 1] (every
+    replayed, stale and tampered frame bounced), [fail_closed = 1], and
+    [failed_over = 1] when [f_kill] is on. *)

@@ -129,3 +129,10 @@ let summary r =
     r.final_unplaced r.replacements r.active_nics r.alive_nics;
   Printf.bprintf b "  invariants: unattested-running=%d scrub-failures=%d\n" r.unattested_running r.scrub_failures;
   Buffer.contents b
+
+let gates r =
+  Obs.Gate.
+    [
+      { key = "unattested_running"; value = int r.unattested_running; rule = Equals 0. };
+      { key = "scrub_failures"; value = int r.scrub_failures; rule = Equals 0. };
+    ]

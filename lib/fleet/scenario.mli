@@ -44,6 +44,10 @@ val run : ?domains:int -> config -> report
 (** Human-readable multi-line summary. *)
 val summary : report -> string
 
+(** What makes a run pass: no NF runs unattested and every teardown
+    scrub verified ([unattested_running = 0], [scrub_failures = 0]). *)
+val gates : report -> Obs.Gate.t list
+
 (** Telemetry exports for the run behind [report] are taken from the
     orchestrator; [run_with] returns it alongside the report when the
     caller needs raw counters.  A recording [sink] traces every NIC's

@@ -28,8 +28,10 @@ type result = {
   total_pkts : int;
   total_bytes : int;
   total_drops : int;
+  total_rounds : int;
   jain_min : float;
   max_rel_err : float;
+  lat_jain_min : float;
 }
 
 let prefill_depth = 16
@@ -122,23 +124,33 @@ let weight_cycle = [| 1; 2; 4; 8 |]
 let default_vnics ~nic ~vfs =
   List.init vfs (fun vf -> ((nic * 10000) + vf + 1, weight_cycle.(vf mod 4)))
 
+let of_nics results =
+  let sum f = List.fold_left (fun a r -> a + f r) 0 results in
+  let worst pick f init = List.fold_left (fun a r -> pick a (f r)) init results in
+  {
+    nics = results;
+    total_pkts = sum (fun r -> r.scheduled_pkts);
+    total_bytes = sum (fun r -> r.scheduled_bytes);
+    total_drops = sum (fun r -> r.drops);
+    total_rounds = sum (fun r -> r.rounds);
+    jain_min = worst Float.min (fun r -> r.report.Obs.Fairness.index) infinity;
+    max_rel_err = worst Float.max (fun r -> r.report.Obs.Fairness.max_rel_err) 0.;
+    lat_jain_min = worst Float.min (fun r -> r.lat_report.Obs.Fairness.index) infinity;
+  }
+
 let run ?(sink = Obs.null) ?(config = Table.default_config) ~nics ~vfs ~cycles ~seed () =
   if nics < 1 then invalid_arg "Vf.Scenario.run: nics must be >= 1";
   if vfs < 1 then invalid_arg "Vf.Scenario.run: vfs must be >= 1";
-  let results =
-    List.init nics (fun nic ->
-        run_nic ~sink ~config ~nic ~cycles ~seed ~vnics:(default_vnics ~nic ~vfs) ())
-  in
-  let total_pkts = List.fold_left (fun a r -> a + r.scheduled_pkts) 0 results in
-  let total_bytes = List.fold_left (fun a r -> a + r.scheduled_bytes) 0 results in
-  let total_drops = List.fold_left (fun a r -> a + r.drops) 0 results in
-  let jain_min =
-    List.fold_left (fun a r -> Float.min a r.report.Obs.Fairness.index) infinity results
-  in
-  let max_rel_err =
-    List.fold_left (fun a r -> Float.max a r.report.Obs.Fairness.max_rel_err) 0. results
-  in
-  { nics = results; total_pkts; total_bytes; total_drops; jain_min; max_rel_err }
+  of_nics
+    (List.init nics (fun nic ->
+         run_nic ~sink ~config ~nic ~cycles ~seed ~vnics:(default_vnics ~nic ~vfs) ()))
+
+let gates r =
+  Obs.Gate.
+    [
+      { key = "jain_min"; value = Some r.jain_min; rule = At_least 0.95 };
+      { key = "max_share_err_pct"; value = Some (100. *. r.max_rel_err); rule = At_most 5. };
+    ]
 
 let nic_summary r =
   Printf.sprintf

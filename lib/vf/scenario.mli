@@ -25,8 +25,10 @@ type result = {
   total_pkts : int;
   total_bytes : int;
   total_drops : int;
+  total_rounds : int;
   jain_min : float;  (** worst per-NIC weighted Jain index *)
   max_rel_err : float;  (** worst per-NIC share error vs weights *)
+  lat_jain_min : float;  (** worst per-NIC latency-weighted Jain index *)
 }
 
 val prefill_depth : int
@@ -48,6 +50,9 @@ val run_nic :
 val default_vnics : nic:int -> vfs:int -> (int * int) list
 (** [vfs] tenants with weights cycling 1, 2, 4, 8 down the VF ids. *)
 
+val of_nics : nic_result list -> result
+(** Totals and worst-case fairness over independently driven NICs. *)
+
 val run :
   ?sink:Obs.sink ->
   ?config:Table.config ->
@@ -58,6 +63,10 @@ val run :
   unit ->
   result
 (** [nics] independent NICs, each fully populated via {!default_vnics}. *)
+
+val gates : result -> Obs.Gate.t list
+(** What makes a VF run pass: [jain_min >= 0.95] and every tenant within
+    5% of its weighted share ([max_share_err_pct <= 5]). *)
 
 val nic_summary : nic_result -> string
 (** One deterministic line (no timing) for a NIC. *)

@@ -120,8 +120,6 @@ set +e
 [ $? -eq 2 ] || fail "'fabric --window 63' should exit 2"
 "$cli" fabric --flows 0 > /dev/null 2>&1
 [ $? -eq 2 ] || fail "'fabric --flows 0' should exit 2"
-"$cli" fabric --min-goodput 1.5 > /dev/null 2>&1
-[ $? -eq 2 ] || fail "'fabric --min-goodput 1.5' should exit 2"
 "$cli" fabric --shards 2 --metrics /tmp/fab.prom > /dev/null 2>&1
 [ $? -eq 2 ] || fail "'fabric --shards 2 --metrics' should exit 2"
 set -e
@@ -145,7 +143,7 @@ case "$err" in
 esac
 
 # bench --only: unknown sections are 124 + usage, known sections are
-# listed in the message (kept in sync with bench/main.ml's dispatch).
+# listed in the message (read from bench/main.ml's section table).
 if [ -n "$bench" ]; then
   [ -x "$bench" ] || fail "no bench executable at '$bench'"
   set +e
@@ -206,6 +204,15 @@ if [ -n "$bench" ]; then
       *) fail "'bench $args' printed no usage line" ;;
     esac
   done
+
+  # Every --only section answers to --check: a baseline key the section
+  # never records is a failure (exit 1), the oracle section included.
+  printf '{\n  "datapath.pktio.forwarded": 2000.000000\n}\n' > "$tmp/datapath_key.json"
+  set +e
+  "$bench" --only oracle --fast --check "$tmp/datapath_key.json" > /dev/null 2>&1
+  status=$?
+  set -e
+  [ "$status" -eq 1 ] || fail "'bench --only oracle --check' on a datapath baseline exited $status, want 1"
 fi
 
 echo "cli contract holds (fleet chaos trace datapath oracle vf qos ddos fabric attacks; --domains; --nf; bench --only, --seed, --check)"

@@ -24,6 +24,18 @@ let check_storm seed =
     (report.Fleet.Chaos.goodput > 0. && report.Fleet.Chaos.goodput <= 1.)
 
 let test_storm_seed_42 () = check_storm 42
+
+let test_gates () =
+  let report = Fleet.Chaos.run (quick_config 42) in
+  let gates = Fleet.Chaos.gates report in
+  Alcotest.(check bool) "gate keys and rules" true
+    (List.map (fun (g : Obs.Gate.t) -> (g.key, g.rule)) gates
+    = [ ("unattested_running", Obs.Gate.Equals 0.); ("scrub_failures", Obs.Gate.Equals 0.) ]);
+  Alcotest.(check int) "seed 42 passes" 0 (List.length (Obs.Gate.failed gates));
+  Alcotest.(check (list string)) "doctored field is reported" [ "scrub_failures" ]
+    (List.map
+       (fun (g : Obs.Gate.t) -> g.key)
+       (Obs.Gate.failed (Fleet.Chaos.gates { report with Fleet.Chaos.scrub_failures = 2 })))
 let test_storm_seed_1337 () = check_storm 1337
 let test_storm_seed_20240 () = check_storm 20240
 
@@ -176,4 +188,5 @@ let suite =
     Alcotest.test_case "quarantine, drain, readmit" `Slow test_quarantine_drain_readmit;
     Alcotest.test_case "bounded retry with backoff" `Quick test_retry_backoff_exhaustion;
     Alcotest.test_case "no-capacity alarms immediately" `Quick test_no_capacity_alarms;
+    Alcotest.test_case "gates: pinned, a doctored figure fails" `Slow test_gates;
   ]

@@ -302,10 +302,27 @@ let test_run_ddos_snic_invariants () =
   List.iter
     (fun (m : Fleet.Chaos.ddos_mode_report) ->
       Alcotest.(check int)
-        (Fleet.Chaos.ddos_mode_id m.dm_mode ^ " drops all attack SYNs")
+        (Oracle.Campaign.mode_id m.dm_mode ^ " drops all attack SYNs")
         m.Fleet.Chaos.dm_attack_pkts m.Fleet.Chaos.dm_attack_dropped;
-      Alcotest.(check bool) (Fleet.Chaos.ddos_mode_id m.dm_mode ^ " memory flat") true m.Fleet.Chaos.dm_mem_flat)
+      Alcotest.(check bool) (Oracle.Campaign.mode_id m.dm_mode ^ " memory flat") true m.Fleet.Chaos.dm_mem_flat)
     r.Fleet.Chaos.d_mode_reports
+
+let test_run_ddos_gates () =
+  let r = Fleet.Chaos.run_ddos small_config in
+  let gates = Fleet.Chaos.ddos_gates r in
+  Alcotest.(check bool) "gate keys and rules" true
+    (List.map (fun (g : Obs.Gate.t) -> (g.key, g.rule)) gates
+    = [
+        ("snic.goodput_ratio", Obs.Gate.At_least 0.8);
+        ("snic.mem_flat", Obs.Gate.Equals 1.);
+        ("snic.tampered", Obs.Gate.Equals 0.);
+        ("snic.key_stolen", Obs.Gate.Equals 0.);
+      ]);
+  Alcotest.(check int) "seed 42 passes" 0 (List.length (Obs.Gate.failed gates));
+  Alcotest.(check (list string)) "doctored field is reported" [ "snic.mem_flat" ]
+    (List.map
+       (fun (g : Obs.Gate.t) -> g.key)
+       (Obs.Gate.failed (Fleet.Chaos.ddos_gates { r with Fleet.Chaos.d_snic_mem_flat = false })))
 
 let test_run_ddos_deterministic () =
   let s1 = Fleet.Chaos.ddos_summary (Fleet.Chaos.run_ddos small_config) in
@@ -354,4 +371,5 @@ let suite =
     Alcotest.test_case "run_ddos deterministic" `Quick test_run_ddos_deterministic;
     Alcotest.test_case "run_ddos obs counters" `Quick test_run_ddos_counters;
     Alcotest.test_case "run_ddos validation" `Quick test_run_ddos_validation;
+    Alcotest.test_case "run_ddos gates: pinned, a doctored figure fails" `Quick test_run_ddos_gates;
   ]

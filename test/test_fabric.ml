@@ -346,6 +346,33 @@ let test_run_fabric_invariants () =
   Alcotest.(check bool) "attested establishments happened" true (r.Fleet.Chaos.f_handshakes >= 2);
   Alcotest.(check bool) "frames crossed the fabric" true (r.Fleet.Chaos.f_hops > 0)
 
+let test_run_fabric_gates () =
+  let r = Fleet.Chaos.run_fabric small_config in
+  let keys gates = List.map (fun (g : Obs.Gate.t) -> g.key) gates in
+  let gates = Fleet.Chaos.fabric_gates r in
+  Alcotest.(check bool) "gate keys and rules" true
+    (List.map (fun (g : Obs.Gate.t) -> (g.key, g.rule)) gates
+    = [
+        ("goodput_ratio", Obs.Gate.At_least 0.9);
+        ("benign_mac_failures", Obs.Gate.Equals 0.);
+        ("adversary_all_rejected", Obs.Gate.Equals 1.);
+        ("fail_closed", Obs.Gate.Equals 1.);
+        ("failed_over", Obs.Gate.Equals 1.);
+      ]);
+  Alcotest.(check int) "seed 42 passes" 0 (List.length (Obs.Gate.failed gates));
+  let failed r = keys (Obs.Gate.failed (Fleet.Chaos.fabric_gates r)) in
+  Alcotest.(check (list string)) "doctored MAC count is reported" [ "benign_mac_failures" ]
+    (failed { r with Fleet.Chaos.f_benign_mac_failures = 1 });
+  Alcotest.(check (list string)) "one unbounced replay is reported" [ "adversary_all_rejected" ]
+    (failed { r with Fleet.Chaos.f_replay_rejected = r.Fleet.Chaos.f_replay_sent - 1 });
+  Alcotest.(check (list string)) "a kill without failover is reported" [ "failed_over" ]
+    (failed { r with Fleet.Chaos.f_failed_over = false });
+  Alcotest.(check bool) "no kill, no failover gate" false
+    (List.mem "failed_over"
+       (keys
+          (Fleet.Chaos.fabric_gates
+             { r with Fleet.Chaos.f_config = { small_config with Fleet.Chaos.f_kill = false } })))
+
 let test_run_fabric_no_kill () =
   let r = Fleet.Chaos.run_fabric { small_config with Fleet.Chaos.f_kill = false } in
   Alcotest.(check bool) "no failover without a kill" false r.Fleet.Chaos.f_failed_over;
@@ -452,4 +479,5 @@ let suite =
     Alcotest.test_case "run_fabric sharded" `Quick test_run_fabric_many;
     Alcotest.test_case "run_fabric validation" `Quick test_run_fabric_validation;
     Alcotest.test_case "run_fabric obs counters" `Quick test_run_fabric_counters;
+    Alcotest.test_case "run_fabric gates: pinned, a doctored figure fails" `Quick test_run_fabric_gates;
   ]

@@ -82,6 +82,20 @@ let check_invariants policy =
   Alcotest.(check bool) (name ^ ": traffic forwarded") true (forwarded > 0)
 
 let test_invariants_first_fit () = check_invariants Fleet.Policy.First_fit
+
+(* The report's gate list is what the CLI exits on: pinned at seed 42,
+   and a doctored figure must surface under its own key. *)
+let test_gates () =
+  let report = Fleet.Scenario.run (small_config Fleet.Policy.First_fit) in
+  let gates = Fleet.Scenario.gates report in
+  Alcotest.(check bool) "gate keys and rules" true
+    (List.map (fun (g : Obs.Gate.t) -> (g.key, g.rule)) gates
+    = [ ("unattested_running", Obs.Gate.Equals 0.); ("scrub_failures", Obs.Gate.Equals 0.) ]);
+  Alcotest.(check int) "seed 42 passes" 0 (List.length (Obs.Gate.failed gates));
+  Alcotest.(check (list string)) "doctored field is reported" [ "unattested_running" ]
+    (List.map
+       (fun (g : Obs.Gate.t) -> g.key)
+       (Obs.Gate.failed (Fleet.Scenario.gates { report with Fleet.Scenario.unattested_running = 1 })))
 let test_invariants_spread () = check_invariants Fleet.Policy.Spread
 let test_invariants_tco_aware () = check_invariants Fleet.Policy.Tco_aware
 
@@ -391,4 +405,5 @@ let suite =
     Alcotest.test_case "NIC kill drains in-flight frames" `Quick test_nic_kill_drains_in_flight;
     Alcotest.test_case "failover skips quarantined NICs" `Quick test_failover_skips_quarantined;
     Alcotest.test_case "telemetry CSV shape" `Slow test_csv_shape;
+    Alcotest.test_case "gates: pinned, a doctored figure fails" `Slow test_gates;
   ]

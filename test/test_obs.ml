@@ -325,6 +325,66 @@ let test_registry_order_insensitive () =
   let names = List.map fst (Obs.Metrics.counters fwd) in
   Alcotest.(check (list string)) "counters sorted by name" (List.sort String.compare names) names
 
+(* ---------- gates: rules, baselines, the baseline parser ---------- *)
+
+let test_gate_rules () =
+  let holds rule value = Obs.Gate.holds { Obs.Gate.key = "k"; value; rule } in
+  let check = Alcotest.(check bool) in
+  check "at_least above" true (holds (At_least 0.9) (Some 0.95));
+  check "at_least boundary is inclusive" true (holds (At_least 0.9) (Some 0.9));
+  check "at_least below" false (holds (At_least 0.9) (Some 0.8999));
+  check "at_most below" true (holds (At_most 2000.) (Some 50.));
+  check "at_most boundary is inclusive" true (holds (At_most 2000.) (Some 2000.));
+  check "at_most above" false (holds (At_most 2000.) (Some 2000.5));
+  check "equals hit" true (holds (Equals 1.) (Obs.Gate.flag true));
+  check "equals miss" false (holds (Equals 0.) (Obs.Gate.int 1));
+  List.iter
+    (fun rule -> check "a missing value fails every rule" false (holds rule None))
+    [ At_least neg_infinity; At_most infinity; Equals 0. ];
+  let g key value rule = { Obs.Gate.key; value; rule } in
+  let gates = [ g "a" (Some 1.) (Equals 1.); g "b" None (At_most 5.); g "c" (Some 0.5) (At_least 0.9) ] in
+  Alcotest.(check (list string))
+    "failed keeps list order and only the failures"
+    [ "b missing, must be <= 5"; "c = 0.5, must be >= 0.9" ]
+    (List.map Obs.Gate.to_string (Obs.Gate.failed gates))
+
+let test_gate_baseline () =
+  let failures baseline current = List.length (Obs.Gate.baseline_failures ~baseline current) in
+  let check = Alcotest.(check int) in
+  check "exact key matches" 0 (failures [ ("x.checksum", 100.) ] [ ("x.checksum", 100.) ]);
+  check "exact key off by one" 1 (failures [ ("x.checksum", 100.) ] [ ("x.checksum", 101.) ]);
+  check "digest suffix is exact too" 1 (failures [ ("x.events_digest", 7.) ] [ ("x.events_digest", 8.) ]);
+  check "25% off is within tolerance" 0 (failures [ ("n", 100.) ] [ ("n", 125.) ]);
+  check "25% + eps over" 1 (failures [ ("n", 100.) ] [ ("n", 125.0001) ]);
+  check "25% + eps under" 1 (failures [ ("n", 100.) ] [ ("n", 74.9999) ]);
+  check "missing key fails" 1 (failures [ ("n", 1.) ] [ ("m", 1.) ]);
+  check "keys absent from the baseline are free" 0 (failures [] [ ("m", 1.) ]);
+  check "zero baseline admits zero" 0 (failures [ ("z", 0.) ] [ ("z", 0.) ]);
+  check "zero baseline rejects anything else" 1 (failures [ ("z", 0.) ] [ ("z", 1e-6) ])
+
+let test_parse_flat_json () =
+  let parse = Obs.Gate.parse_flat_json in
+  (match parse "{\n  \"a.b\": 1.500000,\n  \"c\": -2e3\n}\n" with
+  | Ok pairs ->
+    Alcotest.(check (list (pair string (float 0.)))) "pairs in file order" [ ("a.b", 1.5); ("c", -2000.) ] pairs
+  | Error e -> Alcotest.fail (Obs.Gate.parse_error_to_string e));
+  (match parse "{ \"k\": - }" with
+  | Error (Bad_number { key = "k"; text = "-" }) -> ()
+  | _ -> Alcotest.fail "a bare minus is a Bad_number");
+  match parse "{ \"open: 1 }" with
+  | Error (Unterminated_key 2) -> ()
+  | _ -> Alcotest.fail "an unclosed key is Unterminated_key at its quote"
+
+(* The bytes the parser reads come from a file; whatever they are, it
+   answers with a value or a typed error, never an exception. *)
+let prop_parse_flat_json_total =
+  let json_ish = QCheck.Gen.oneofl [ '"'; ':'; ' '; '-'; '+'; '.'; 'e'; 'E'; '0'; '7'; '{'; '}'; ','; '\n' ] in
+  QCheck.Test.make ~name:"parse_flat_json: Ok or a typed Error on arbitrary bytes" ~count:2000
+    (QCheck.make ~print:String.escaped QCheck.Gen.(string_size ~gen:(oneof [ json_ish; char ]) (0 -- 64)))
+    (fun s ->
+      match Obs.Gate.parse_flat_json s with
+      | Ok _ | Error (Unterminated_key _ | Bad_number _) -> true)
+
 let suite =
   [
     Alcotest.test_case "registry registration is idempotent" `Quick test_registry_idempotent;
@@ -338,4 +398,8 @@ let suite =
     Alcotest.test_case "spans balance per track under storm (seed 20240)" `Quick test_span_balance_20240;
     Alcotest.test_case "Chrome JSON parses and agrees with the registry" `Quick test_chrome_json_roundtrip;
     Alcotest.test_case "same seed exports byte-identical artifacts" `Quick test_trace_deterministic;
+    Alcotest.test_case "gate rules: inclusive boundaries, a missing value fails" `Quick test_gate_rules;
+    Alcotest.test_case "baseline check: exact suffixes, 25% band, missing and zero" `Quick test_gate_baseline;
+    Alcotest.test_case "baseline parser: pairs and typed errors" `Quick test_parse_flat_json;
+    QCheck_alcotest.to_alcotest prop_parse_flat_json_total;
   ]

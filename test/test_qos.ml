@@ -238,6 +238,22 @@ let test_run_qos_deterministic () =
     (Fleet.Chaos.qos_summary r2);
   Alcotest.(check int) "no victim starved" 0 r1.Fleet.Chaos.q_starved
 
+let test_run_qos_gates () =
+  let r, _ = Fleet.Chaos.run_qos small_qos in
+  let gates = Fleet.Chaos.qos_gates r in
+  Alcotest.(check bool) "gate keys and rules" true
+    (List.map (fun (g : Obs.Gate.t) -> (g.key, g.rule)) gates
+    = [
+        ("share_min", Obs.Gate.At_least 0.9);
+        ("victim_p99_steady_cycles", Obs.Gate.At_most 2000.);
+        ("starved_victims", Obs.Gate.Equals 0.);
+      ]);
+  Alcotest.(check int) "seed 42 passes" 0 (List.length (Obs.Gate.failed gates));
+  Alcotest.(check (list string)) "a missing steady p99 is reported" [ "victim_p99_steady_cycles" ]
+    (List.map
+       (fun (g : Obs.Gate.t) -> g.key)
+       (Obs.Gate.failed (Fleet.Chaos.qos_gates { r with Fleet.Chaos.q_victim_p99_steady = None })))
+
 let suite =
   [
     Alcotest.test_case "contract validation" `Quick test_validation;
@@ -250,4 +266,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_starvation_freedom;
     Alcotest.test_case "run_qos validation" `Quick test_run_qos_validation;
     Alcotest.test_case "run_qos determinism" `Quick test_run_qos_deterministic;
+    Alcotest.test_case "run_qos gates: pinned, a doctored figure fails" `Quick test_run_qos_gates;
   ]

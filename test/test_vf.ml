@@ -273,6 +273,20 @@ let test_scenario_weighted_shares_converge () =
   Alcotest.(check bool) "shares within 5% of weights" true (r.Vf.Scenario.max_rel_err <= 0.05);
   Alcotest.(check bool) "jain above the gate floor" true (r.Vf.Scenario.jain_min >= 0.95)
 
+let test_scenario_gates () =
+  let r = Vf.Scenario.run ~nics:1 ~vfs:32 ~cycles:32 ~seed:42 () in
+  let gates = Vf.Scenario.gates r in
+  Alcotest.(check bool) "gate keys and rules" true
+    (List.map (fun (g : Obs.Gate.t) -> (g.key, g.rule)) gates
+    = [ ("jain_min", Obs.Gate.At_least 0.95); ("max_share_err_pct", Obs.Gate.At_most 5.) ]);
+  Alcotest.(check int) "seed 42 passes" 0 (List.length (Obs.Gate.failed gates));
+  Alcotest.(check (list string)) "doctored field is reported" [ "max_share_err_pct" ]
+    (List.map
+       (fun (g : Obs.Gate.t) -> g.key)
+       (Obs.Gate.failed (Vf.Scenario.gates { r with Vf.Scenario.max_rel_err = 0.051 })));
+  Alcotest.(check string) "run is of_nics over its NICs" (Vf.Scenario.summary r)
+    (Vf.Scenario.summary (Vf.Scenario.of_nics r.Vf.Scenario.nics))
+
 let suite =
   [
     Alcotest.test_case "attach/detach lifecycle" `Quick test_attach_detach_lifecycle;
@@ -290,4 +304,5 @@ let suite =
     Alcotest.test_case "node VF slot accounting" `Quick test_node_vf_accounting;
     Alcotest.test_case "scenario deterministic" `Quick test_scenario_deterministic;
     Alcotest.test_case "scenario weighted shares converge" `Slow test_scenario_weighted_shares_converge;
+    Alcotest.test_case "scenario gates: pinned, a doctored figure fails" `Quick test_scenario_gates;
   ]
