@@ -1044,7 +1044,7 @@ let vf_section () =
       groups
   in
   let secs = Sys.time () -. t0 in
-  let (r : Vf.Scenario.result) = Vf.Scenario.of_nics results in
+  let (r : Vf.Scenario.report) = Vf.Scenario.of_nics results in
   let pps = if secs > 0. then float_of_int r.total_pkts /. secs else 0. in
   (match results with
   | first :: _ -> Printf.printf "first NIC: %s\n" (Vf.Scenario.nic_summary first)
@@ -1074,45 +1074,43 @@ let vf_section () =
 let qos_section () =
   header "QoS credits (lib/nicsim/qos): noisy neighbor vs latency SLOs";
   let t0 = Sys.time () in
-  let r, _sup = Fleet.Chaos.run_qos Fleet.Chaos.default_qos_config in
+  let (r : Fleet.Qos_scenario.report) = Fleet.Qos_scenario.run Fleet.Qos_scenario.default_config in
   let secs = Sys.time () -. t0 in
-  let c = Fleet.Chaos.cycles_str in
+  let c = Fleet.Qos_scenario.cycles_str in
   Printf.printf "protected run: victim p99 %s (steady %s), unprotected baseline p99 %s\n"
-    (c r.Fleet.Chaos.q_victim_p99) (c r.Fleet.Chaos.q_victim_p99_steady) (c r.Fleet.Chaos.q_unprotected_p99);
+    (c r.q_victim_p99) (c r.q_victim_p99_steady) (c r.q_unprotected_p99);
   Printf.printf "self-healing: %d quarantine(s), %d readmission(s), aggressor throttled %d times\n"
-    r.Fleet.Chaos.q_quarantines r.Fleet.Chaos.q_readmissions r.Fleet.Chaos.q_aggressor_throttles;
-  Printf.printf "fairness: share_min %.4f, starved %d, latency jain %.4f (%.2fs)\n" r.Fleet.Chaos.q_share_min
-    r.Fleet.Chaos.q_starved r.Fleet.Chaos.q_lat_fairness.Obs.Fairness.index secs;
+    r.q_quarantines r.q_readmissions r.q_aggressor_throttles;
+  Printf.printf "fairness: share_min %.4f, starved %d, latency jain %.4f (%.2fs)\n" r.q_share_min
+    r.q_starved r.q_lat_fairness.Obs.Fairness.index secs;
   let m name v = metric ("qos." ^ name) v in
   let mq name v = match v with None -> () | Some v -> m name v in
-  mq "victim_p99_cycles" r.Fleet.Chaos.q_victim_p99;
-  mq "victim_p99_steady_cycles" r.Fleet.Chaos.q_victim_p99_steady;
-  mq "unprotected_p99_cycles" r.Fleet.Chaos.q_unprotected_p99;
-  (match (r.Fleet.Chaos.q_victim_p99_steady, r.Fleet.Chaos.q_unprotected_p99) with
+  mq "victim_p99_cycles" r.q_victim_p99;
+  mq "victim_p99_steady_cycles" r.q_victim_p99_steady;
+  mq "unprotected_p99_cycles" r.q_unprotected_p99;
+  (match (r.q_victim_p99_steady, r.q_unprotected_p99) with
   | Some p, Some u when p > 0. -> m "protection_x" (u /. p)
   | _ -> ());
-  m "share_min" r.Fleet.Chaos.q_share_min;
-  m "starved_victims" (float_of_int r.Fleet.Chaos.q_starved);
-  m "quarantines" (float_of_int r.Fleet.Chaos.q_quarantines);
-  m "readmissions" (float_of_int r.Fleet.Chaos.q_readmissions);
-  m "aggressor_throttles" (float_of_int r.Fleet.Chaos.q_aggressor_throttles);
-  m "slo_violations" (float_of_int r.Fleet.Chaos.q_slo_violations);
-  m "lat_jain" r.Fleet.Chaos.q_lat_fairness.Obs.Fairness.index;
-  gate "qos." (Fleet.Chaos.qos_gates r);
+  m "share_min" r.q_share_min;
+  m "starved_victims" (float_of_int r.q_starved);
+  m "quarantines" (float_of_int r.q_quarantines);
+  m "readmissions" (float_of_int r.q_readmissions);
+  m "aggressor_throttles" (float_of_int r.q_aggressor_throttles);
+  m "slo_violations" (float_of_int r.q_slo_violations);
+  m "lat_jain" r.q_lat_fairness.Obs.Fairness.index;
+  gate "qos." (Fleet.Qos_scenario.gates r);
   (* Zero-slack variant: capacity = sum of guarantees, so every spare
      credit a victim gets comes from the epoch-rollover donation path.
      Nothing may starve even with no structural headroom. *)
-  let rs, _ = Fleet.Chaos.run_qos { Fleet.Chaos.default_qos_config with Fleet.Chaos.q_starve = true } in
-  Printf.printf "zero-slack variant: share_min %.4f, starved %d, borrowed %d credits\n"
-    rs.Fleet.Chaos.q_share_min rs.Fleet.Chaos.q_starved
-    (List.fold_left (fun a (t : Fleet.Chaos.qos_tenant) -> a + t.Fleet.Chaos.qt_borrowed) 0
-       rs.Fleet.Chaos.q_outcomes);
-  m "starve.share_min" rs.Fleet.Chaos.q_share_min;
-  m "starve.starved_victims" (float_of_int rs.Fleet.Chaos.q_starved);
-  mq "starve.victim_p99_steady_cycles" rs.Fleet.Chaos.q_victim_p99_steady;
-  gate "qos.starve." (Fleet.Chaos.qos_gates rs);
+  let (rs : Fleet.Qos_scenario.report) = Fleet.Qos_scenario.run { Fleet.Qos_scenario.default_config with q_starve = true } in
+  Printf.printf "zero-slack variant: share_min %.4f, starved %d, borrowed %d credits\n" rs.q_share_min rs.q_starved
+    (List.fold_left (fun a (t : Fleet.Qos_scenario.tenant) -> a + t.qt_borrowed) 0 rs.q_outcomes);
+  m "starve.share_min" rs.q_share_min;
+  m "starve.starved_victims" (float_of_int rs.q_starved);
+  mq "starve.victim_p99_steady_cycles" rs.q_victim_p99_steady;
+  gate "qos.starve." (Fleet.Qos_scenario.gates rs);
   print_endline
-    "expectation: steady-state victim p99 back under the SLO, guarantees kept, zero starvation (Fleet.Chaos.qos_gates)"
+    "expectation: steady-state victim p99 back under the SLO, guarantees kept, zero starvation (Fleet.Qos_scenario.gates)"
 
 (* ------------------------------------------------------------------ *)
 (* DDoS: CuckooGuard SYN proxy + cuckoo whitelist across the five modes *)
@@ -1120,35 +1118,35 @@ let qos_section () =
 let ddos_section () =
   header "DDoS defense (lib/nf cuckoo/syn_proxy): SYN flood across protection modes";
   let t0 = Sys.time () in
-  let config = { Fleet.Chaos.default_ddos_config with Fleet.Chaos.d_seed = seed } in
-  let r = Fleet.Chaos.run_ddos config in
+  let config = { Fleet.Ddos_scenario.default_config with Fleet.Ddos_scenario.d_seed = seed } in
+  let (r : Fleet.Ddos_scenario.report) = Fleet.Ddos_scenario.run config in
   let secs = Sys.time () -. t0 in
-  print_string (Fleet.Chaos.ddos_summary r);
+  print_string (Fleet.Ddos_scenario.summary r);
   Printf.printf "(%.2fs)\n" secs;
-  metric "ddos.events_digest" (float_of_int r.Fleet.Chaos.d_events_digest);
-  metric "ddos.benign_pkts" (float_of_int r.Fleet.Chaos.d_benign_pkts);
-  metric "ddos.attack_pkts" (float_of_int r.Fleet.Chaos.d_attack_pkts);
+  metric "ddos.events_digest" (float_of_int r.d_events_digest);
+  metric "ddos.benign_pkts" (float_of_int r.d_benign_pkts);
+  metric "ddos.attack_pkts" (float_of_int r.d_attack_pkts);
   List.iter
-    (fun (mr : Fleet.Chaos.ddos_mode_report) ->
-      let m name v = metric (Printf.sprintf "ddos.%s.%s" (Oracle.Campaign.mode_id mr.Fleet.Chaos.dm_mode) name) v in
+    (fun (mr : Fleet.Ddos_scenario.mode_report) ->
+      let m name v = metric (Printf.sprintf "ddos.%s.%s" (Oracle.Campaign.mode_id mr.dm_mode) name) v in
       let flag name b = m name (if b then 1. else 0.) in
-      m "goodput_ratio" mr.Fleet.Chaos.dm_goodput_ratio;
-      m "unprotected_ratio" mr.Fleet.Chaos.dm_unprotected_ratio;
-      m "attack_dropped" (float_of_int mr.Fleet.Chaos.dm_attack_dropped);
-      m "benign_dropped" (float_of_int mr.Fleet.Chaos.dm_benign_dropped);
-      m "forged_admits" (float_of_int mr.Fleet.Chaos.dm_forged_admits);
-      m "corrupt_flips" (float_of_int mr.Fleet.Chaos.dm_corrupt_flips);
-      m "whitelist_load" mr.Fleet.Chaos.dm_whitelist_load;
-      m "mem_reserved_bytes" (float_of_int mr.Fleet.Chaos.dm_mem_reserved_bytes);
-      m "mem_peak_bytes" (float_of_int mr.Fleet.Chaos.dm_mem_peak_bytes);
-      flag "mem_flat" mr.Fleet.Chaos.dm_mem_flat;
-      flag "tampered" mr.Fleet.Chaos.dm_tampered;
-      flag "key_stolen" mr.Fleet.Chaos.dm_key_stolen;
-      m "unprotected_mem_wanted_bytes" (float_of_int mr.Fleet.Chaos.dm_unprotected_mem_wanted_bytes))
-    r.Fleet.Chaos.d_mode_reports;
-  gate "ddos." (Fleet.Chaos.ddos_gates r);
+      m "goodput_ratio" mr.dm_goodput_ratio;
+      m "unprotected_ratio" mr.dm_unprotected_ratio;
+      m "attack_dropped" (float_of_int mr.dm_attack_dropped);
+      m "benign_dropped" (float_of_int mr.dm_benign_dropped);
+      m "forged_admits" (float_of_int mr.dm_forged_admits);
+      m "corrupt_flips" (float_of_int mr.dm_corrupt_flips);
+      m "whitelist_load" mr.dm_whitelist_load;
+      m "mem_reserved_bytes" (float_of_int mr.dm_mem_reserved_bytes);
+      m "mem_peak_bytes" (float_of_int mr.dm_mem_peak_bytes);
+      flag "mem_flat" mr.dm_mem_flat;
+      flag "tampered" mr.dm_tampered;
+      flag "key_stolen" mr.dm_key_stolen;
+      m "unprotected_mem_wanted_bytes" (float_of_int mr.dm_unprotected_mem_wanted_bytes))
+    r.d_mode_reports;
+  gate "ddos." (Fleet.Ddos_scenario.gates r);
   print_endline
-    "expectation: snic keeps benign goodput, flat defense memory (Fleet.Chaos.ddos_gates); unmediated modes collapse"
+    "expectation: snic keeps benign goodput, flat defense memory (Fleet.Ddos_scenario.gates); unmediated modes collapse"
 
 (* ------------------------------------------------------------------ *)
 (* Fabric: attested NIC-to-NIC channels + cross-NIC chain failover *)
@@ -1156,37 +1154,36 @@ let ddos_section () =
 let fabric_section () =
   header "Attested fabric (lib/fabric): cross-NIC CuckooGuard chain + failover";
   let t0 = Sys.time () in
-  let config = { Fleet.Chaos.default_fabric_config with Fleet.Chaos.f_seed = seed } in
-  let r = Fleet.Chaos.run_fabric config in
+  let config = { Fleet.Fabric_scenario.default_config with Fleet.Fabric_scenario.f_seed = seed } in
+  let (r : Fleet.Fabric_scenario.report) = Fleet.Fabric_scenario.run config in
   let secs = Sys.time () -. t0 in
-  print_string (Fleet.Chaos.fabric_summary r);
+  print_string (Fleet.Fabric_scenario.summary r);
   Printf.printf "(%.2fs)\n" secs;
   let m name v = metric ("fabric." ^ name) v in
   let flag name b = m name (if b then 1. else 0.) in
-  m "events_digest" (float_of_int r.Fleet.Chaos.f_events_digest);
-  m "benign_pkts" (float_of_int r.Fleet.Chaos.f_benign_pkts);
-  m "handshakes" (float_of_int r.Fleet.Chaos.f_handshakes);
-  m "hops" (float_of_int r.Fleet.Chaos.f_hops);
-  m "admitted" (float_of_int r.Fleet.Chaos.f_admitted);
-  m "goodput_ratio" r.Fleet.Chaos.f_goodput_ratio;
-  m "benign_mac_failures" (float_of_int r.Fleet.Chaos.f_benign_mac_failures);
-  m "replay_rejected" (float_of_int r.Fleet.Chaos.f_replay_rejected);
-  m "stale_rejected" (float_of_int r.Fleet.Chaos.f_stale_rejected);
-  m "tamper_rejected" (float_of_int r.Fleet.Chaos.f_tamper_rejected);
+  m "events_digest" (float_of_int r.f_events_digest);
+  m "benign_pkts" (float_of_int r.f_benign_pkts);
+  m "handshakes" (float_of_int r.f_handshakes);
+  m "hops" (float_of_int r.f_hops);
+  m "admitted" (float_of_int r.f_admitted);
+  m "goodput_ratio" r.f_goodput_ratio;
+  m "benign_mac_failures" (float_of_int r.f_benign_mac_failures);
+  m "replay_rejected" (float_of_int r.f_replay_rejected);
+  m "stale_rejected" (float_of_int r.f_stale_rejected);
+  m "tamper_rejected" (float_of_int r.f_tamper_rejected);
   flag "adversary_all_rejected"
-    (r.Fleet.Chaos.f_replay_rejected = r.Fleet.Chaos.f_replay_sent
-    && r.Fleet.Chaos.f_stale_rejected = r.Fleet.Chaos.f_stale_sent
-    && r.Fleet.Chaos.f_tamper_rejected = r.Fleet.Chaos.f_tamper_sent);
-  m "state_replayed" (float_of_int r.Fleet.Chaos.f_state_replayed);
-  m "state_recovered" (float_of_int r.Fleet.Chaos.f_state_recovered);
-  flag "failed_over" r.Fleet.Chaos.f_failed_over;
-  flag "fail_closed" (Fleet.Chaos.fabric_fail_closed r);
-  (* The same run at 1 and 4 domains must produce the same summary —
-     the rack boot is the only fanned-out stage and it is seeded. *)
-  let digest domains =
-    Par.Digest.strings [ Fleet.Chaos.fabric_summary (Fleet.Chaos.run_fabric_with ~domains config) ]
-  in
-  let d1 = digest 1 and d4 = digest 4 in
+    (r.f_replay_rejected = r.f_replay_sent
+    && r.f_stale_rejected = r.f_stale_sent
+    && r.f_tamper_rejected = r.f_tamper_sent);
+  m "state_replayed" (float_of_int r.f_state_replayed);
+  m "state_recovered" (float_of_int r.f_state_recovered);
+  flag "failed_over" r.f_failed_over;
+  flag "fail_closed" (Fleet.Fabric_scenario.fail_closed r);
+  (* The same run at 4 domains must produce the summary of the 1-domain
+     run above — the rack boot is the only fanned-out stage and it is
+     seeded. *)
+  let digest r = Par.Digest.strings [ Fleet.Fabric_scenario.summary r ] in
+  let d1 = digest r and d4 = digest (Fleet.Fabric_scenario.run ~domains:4 config) in
   Printf.printf "summary digest: %d (1 domain) vs %d (4 domains) — %s\n" d1 d4
     (if d1 = d4 then "identical" else "DIVERGED");
   flag "consistent" (d1 = d4);
@@ -1198,7 +1195,7 @@ let fabric_section () =
     (List.length o.Oracle.Campaign.violations);
   m "oracle_snic_violations" (float_of_int (List.length o.Oracle.Campaign.violations));
   gate "fabric."
-    (Fleet.Chaos.fabric_gates r
+    (Fleet.Fabric_scenario.gates r
     @ Obs.Gate.
         [
           { key = "consistent"; value = flag (d1 = d4); rule = Equals 1. };
@@ -1274,15 +1271,15 @@ let par_section () =
     let config =
       { Fleet.Scenario.default_config with Fleet.Scenario.seed; n_nics = 8; n_tenants = 16; rounds = 2; packets_per_round = 200 }
     in
-    let rs = Fleet.Scenario.run_many ~domains ~shards:4 config in
-    Par.Digest.strings (Array.to_list (Array.map (fun (r, _) -> Fleet.Scenario.summary r) rs))
+    let rs = Fleet.Run.many (module Fleet.Scenario) ~domains ~shards:4 config in
+    Par.Digest.strings (Array.to_list (Array.map (fun (_, r, _) -> Fleet.Scenario.summary r) rs))
   in
   let chaos_digest domains =
     let config =
       { Fleet.Chaos.default_config with Fleet.Chaos.seed; n_nics = 4; n_tenants = 8; rounds = 2; packets_per_round = 100 }
     in
-    let rs = Fleet.Chaos.run_many ~domains ~shards:2 config in
-    Par.Digest.strings (Array.to_list (Array.map (fun (r, _) -> Fleet.Chaos.summary r) rs))
+    let rs = Fleet.Run.many (module Fleet.Chaos) ~domains ~shards:2 config in
+    Par.Digest.strings (Array.to_list (Array.map (fun (_, r, _) -> Fleet.Chaos.summary r) rs))
   in
   let f1 = fleet_digest 1 and f2 = fleet_digest 2 in
   let c1 = chaos_digest 1 and c2 = chaos_digest 2 in

@@ -50,7 +50,7 @@ let shards_arg =
 
 (* The merged snapshot of a sharded run: every shard's registry folded
    into one, plus the par_* rows describing the fan-out itself. *)
-let merged_shard_registry ~domains ~shards results =
+let merged_shard_registry ~domains ~shards sinks =
   let merged = Obs.Metrics.create_registry () in
   Obs.Metrics.add
     (Obs.Metrics.counter merged "par_shards_total" ~help:"Shards executed by the sharded run")
@@ -59,7 +59,7 @@ let merged_shard_registry ~domains ~shards results =
     (Obs.Metrics.counter merged "par_domains" ~help:"Domains the shards were fanned across")
     domains;
   Array.iter
-    (fun (_, sink) ->
+    (fun sink ->
       match Obs.registry sink with
       | Some reg ->
         Obs.Metrics.incr
@@ -67,7 +67,7 @@ let merged_shard_registry ~domains ~shards results =
              ~help:"Per-shard registries folded into this snapshot");
         Obs.Metrics.merge_into ~into:merged reg
       | None -> ())
-    results;
+    sinks;
   merged
 
 let write_file path contents =
@@ -83,6 +83,58 @@ let exit_on_failed_gates cmd gates runs =
   | failed ->
     List.iter (fun g -> Printf.eprintf "%s: FAIL %s\n" cmd (Obs.Gate.to_string g)) failed;
     exit 1
+
+let validate_or_exit ~cmd = function
+  | Ok () -> ()
+  | Error msg ->
+    Printf.eprintf "%s: %s\n" cmd msg;
+    exit 2
+
+(* The one way a scenario subcommand runs: refuse an invalid config
+   (exit 2), run once or as [shards] seeded shards, print each summary
+   (under a shard header when sharded), write --metrics, and exit 1 on
+   any failed gate. *)
+let run_scenario (type c r) (module M : Fleet.Run.S with type config = c and type report = r) ~cmd
+    ?(domains = 1) ?(shards = 1) ?metrics ?(print = fun r -> print_string (M.summary r)) config =
+  validate_or_exit ~cmd (M.validate config);
+  let record = metrics <> None in
+  let write reg = Option.iter (fun path -> write_file path (Obs.Metrics.prometheus reg)) metrics in
+  let reports =
+    if shards = 1 then begin
+      (* Only record device events when someone asked for the metrics
+         dump — the null sink keeps the default run overhead-free. *)
+      let sink = if record then Obs.create () else Obs.null in
+      let r = M.run ~sink ~domains config in
+      print r;
+      Option.iter write (Obs.registry sink);
+      [| r |]
+    end
+    else begin
+      let results = Fleet.Run.many (module M) ~domains ~record ~shards config in
+      Array.iteri
+        (fun i (seed, r, _) ->
+          Printf.printf "=== shard %d (seed %d) ===\n" i seed;
+          print r)
+        results;
+      if record then write (merged_shard_registry ~domains ~shards (Array.map (fun (_, _, sink) -> sink) results));
+      Array.map (fun (_, r, _) -> r) results
+    end
+  in
+  exit_on_failed_gates cmd M.gates reports
+
+(* fleet --csv/--json and chaos --json print the orchestrator's
+   telemetry, which is not part of the report: one run through the
+   scenario's [run_with]. *)
+let run_telemetry (type c r) (module M : Fleet.Run.S with type config = c and type report = r)
+    ~(run_with : ?sink:Obs.sink -> ?domains:int -> c -> r * Fleet.Orchestrator.t) ~cmd ~domains ?metrics print
+    config =
+  validate_or_exit ~cmd (M.validate config);
+  let sink = if metrics = None then Obs.null else Obs.create () in
+  let report, orch = run_with ~sink ~domains config in
+  let telemetry = Fleet.Orchestrator.telemetry orch in
+  print report telemetry;
+  Option.iter (fun path -> write_file path (Fleet.Telemetry.prometheus telemetry)) metrics;
+  exit_on_failed_gates cmd M.gates [| report |]
 
 let attacks_cmd =
   let run () =
@@ -283,13 +335,18 @@ let timeline_cmd =
   in
   Cmd.v (Cmd.info "timeline" ~doc:"Figure 7 Monitor memory series as CSV") Term.(const run $ const ())
 
+(* fleet and chaos: a placement policy name, parsed by
+   Fleet.Policy.of_string so a typo lists the valid names and exits
+   through cmdliner's usage path (124). *)
+let policy_arg =
+  let parse s = Result.map_error (fun e -> `Msg e) (Fleet.Policy.of_string s) in
+  let print ppf p = Format.pp_print_string ppf (Fleet.Policy.name p) in
+  Arg.(value & opt (conv (parse, print)) Fleet.Policy.First_fit
+       & info [ "policy" ] ~docv:"POLICY" ~doc:"Placement policy: first-fit|best-fit|spread|tco-aware")
+
 let fleet_cmd =
   let nics = Arg.(value & opt int 16 & info [ "nics" ] ~doc:"NICs in the rack") in
   let tenants = Arg.(value & opt int 64 & info [ "tenants" ] ~doc:"Tenant NFs to place") in
-  let policy =
-    Arg.(value & opt string "first-fit"
-         & info [ "policy" ] ~docv:"POLICY" ~doc:"Placement policy: first-fit|best-fit|spread|tco-aware")
-  in
   let rounds = Arg.(value & opt int 3 & info [ "rounds" ] ~doc:"Traffic rounds (failures strike between them)") in
   let packets = Arg.(value & opt int 600 & info [ "packets" ] ~doc:"Packets replayed per round") in
   let kill_nics = Arg.(value & opt int 2 & info [ "kill-nics" ] ~doc:"NIC failures injected over the run") in
@@ -297,75 +354,46 @@ let fleet_cmd =
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit per-tenant and per-NIC telemetry as CSV") in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the full telemetry tree as JSON") in
   let run seed nics tenants policy rounds packets kill_nics kill_nfs csv json metrics domains shards =
-    match Fleet.Policy.of_string policy with
-    | Error e ->
-      prerr_endline e;
+    let config =
+      {
+        Fleet.Scenario.default_config with
+        Fleet.Scenario.seed = Option.value seed ~default:Fleet.Scenario.default_config.Fleet.Scenario.seed;
+        n_nics = nics;
+        n_tenants = tenants;
+        policy;
+        rounds;
+        packets_per_round = packets;
+        kill_nics;
+        kill_nfs;
+      }
+    in
+    if not (csv || json) then run_scenario (module Fleet.Scenario) ~cmd:"fleet" ~domains ?shards ?metrics config
+    else if Option.value shards ~default:1 > 1 then begin
+      prerr_endline "fleet: --csv/--json apply to single-shard runs (drop --shards)";
       exit 2
-    | Ok policy ->
-      let config =
-        {
-          Fleet.Scenario.default_config with
-          Fleet.Scenario.seed = Option.value seed ~default:Fleet.Scenario.default_config.Fleet.Scenario.seed;
-          n_nics = nics;
-          n_tenants = tenants;
-          policy;
-          rounds;
-          packets_per_round = packets;
-          kill_nics;
-          kill_nfs;
-        }
-      in
-      let shards = Option.value shards ~default:1 in
-      if shards = 1 then begin
-        (* Only record device events when someone asked for the metrics
-           dump — the null sink keeps the default run overhead-free. *)
-        let sink = if metrics = None then Obs.null else Obs.create () in
-        let report, orch = Fleet.Scenario.run_with ~sink ~domains config in
-        let telemetry = Fleet.Orchestrator.telemetry orch in
-        if json then print_string (Fleet.Telemetry.to_json telemetry)
-        else begin
-          print_string (Fleet.Scenario.summary report);
-          if csv then begin
+    end
+    else
+      run_telemetry (module Fleet.Scenario) ~run_with:Fleet.Scenario.run_with ~cmd:"fleet" ~domains ?metrics
+        (fun report telemetry ->
+          if json then print_string (Fleet.Telemetry.to_json telemetry)
+          else begin
+            print_string (Fleet.Scenario.summary report);
             print_newline ();
             print_string (Fleet.Telemetry.tenants_csv telemetry);
             print_newline ();
             print_string (Fleet.Telemetry.nics_csv telemetry)
-          end
-        end;
-        (match metrics with Some path -> write_file path (Fleet.Telemetry.prometheus telemetry) | None -> ());
-        exit_on_failed_gates "fleet" Fleet.Scenario.gates [| report |]
-      end
-      else begin
-        if csv || json then begin
-          prerr_endline "fleet: --csv/--json apply to single-shard runs (drop --shards)";
-          exit 2
-        end;
-        let results = Fleet.Scenario.run_many ~domains ~record:(metrics <> None) ~shards config in
-        Array.iteri
-          (fun i (report, _) ->
-            Printf.printf "=== shard %d (seed %d) ===\n" i report.Fleet.Scenario.config.Fleet.Scenario.seed;
-            print_string (Fleet.Scenario.summary report))
-          results;
-        (match metrics with
-        | Some path ->
-          write_file path (Obs.Metrics.prometheus (merged_shard_registry ~domains ~shards results))
-        | None -> ());
-        exit_on_failed_gates "fleet" (fun (r, _) -> Fleet.Scenario.gates r) results
-      end
+          end)
+        config
   in
   Cmd.v
     (Cmd.info "fleet" ~doc:"Seeded multi-NIC fleet scenario: attested placement, traffic, failure recovery")
     Term.(
-      const run $ seed_arg $ nics $ tenants $ policy $ rounds $ packets $ kill_nics $ kill_nfs $ csv $ json
+      const run $ seed_arg $ nics $ tenants $ policy_arg $ rounds $ packets $ kill_nics $ kill_nfs $ csv $ json
       $ metrics_arg $ domains_arg $ shards_arg)
 
 let chaos_cmd =
   let nics = Arg.(value & opt int 8 & info [ "nics" ] ~doc:"NICs in the rack") in
   let tenants = Arg.(value & opt int 24 & info [ "tenants" ] ~doc:"Tenant NFs to place") in
-  let policy =
-    Arg.(value & opt string "first-fit"
-         & info [ "policy" ] ~docv:"POLICY" ~doc:"Placement policy: first-fit|best-fit|spread|tco-aware")
-  in
   let rounds = Arg.(value & opt int 6 & info [ "rounds" ] ~doc:"Traffic rounds under the storm") in
   let packets = Arg.(value & opt int 400 & info [ "packets" ] ~doc:"Packets replayed per round") in
   let intensity =
@@ -381,70 +409,44 @@ let chaos_cmd =
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the full telemetry tree as JSON") in
   let run seed nics tenants policy rounds packets intensity stride flips kill_nics kill_nfs log json metrics
       domains shards =
-    match Fleet.Policy.of_string policy with
-    | Error e ->
-      prerr_endline e;
+    let config =
+      {
+        Fleet.Chaos.default_config with
+        Fleet.Chaos.seed = Option.value seed ~default:Fleet.Chaos.default_config.Fleet.Chaos.seed;
+        n_nics = nics;
+        n_tenants = tenants;
+        policy;
+        rounds;
+        packets_per_round = packets;
+        intensity;
+        flaky_stride = stride;
+        dram_flips_per_round = flips;
+        kill_nics;
+        kill_nfs;
+      }
+    in
+    let print report =
+      print_string (Fleet.Chaos.summary report);
+      if log then begin
+        print_newline ();
+        print_string report.Fleet.Chaos.injection_log
+      end
+    in
+    if not json then run_scenario (module Fleet.Chaos) ~cmd:"chaos" ~domains ?shards ?metrics ~print config
+    else if Option.value shards ~default:1 > 1 then begin
+      prerr_endline "chaos: --json applies to single-shard runs (drop --shards)";
       exit 2
-    | Ok policy ->
-      let config =
-        {
-          Fleet.Chaos.default_config with
-          Fleet.Chaos.seed = Option.value seed ~default:Fleet.Chaos.default_config.Fleet.Chaos.seed;
-          n_nics = nics;
-          n_tenants = tenants;
-          policy;
-          rounds;
-          packets_per_round = packets;
-          intensity;
-          flaky_stride = stride;
-          dram_flips_per_round = flips;
-          kill_nics;
-          kill_nfs;
-        }
-      in
-      let shards = Option.value shards ~default:1 in
-      if shards = 1 then begin
-        let sink = if metrics = None then Obs.null else Obs.create () in
-        let report, orch = Fleet.Chaos.run_with ~sink ~domains config in
-        let telemetry = Fleet.Orchestrator.telemetry orch in
-        if json then print_string (Fleet.Telemetry.to_json telemetry)
-        else begin
-          print_string (Fleet.Chaos.summary report);
-          if log then begin
-            print_newline ();
-            print_string report.Fleet.Chaos.injection_log
-          end
-        end;
-        (match metrics with Some path -> write_file path (Fleet.Telemetry.prometheus telemetry) | None -> ());
-        exit_on_failed_gates "chaos" Fleet.Chaos.gates [| report |]
-      end
-      else begin
-        if json then begin
-          prerr_endline "chaos: --json applies to single-shard runs (drop --shards)";
-          exit 2
-        end;
-        let results = Fleet.Chaos.run_many ~domains ~record:(metrics <> None) ~shards config in
-        Array.iteri
-          (fun i (report, _) ->
-            Printf.printf "=== shard %d (seed %d) ===\n" i report.Fleet.Chaos.config.Fleet.Chaos.seed;
-            print_string (Fleet.Chaos.summary report);
-            if log then begin
-              print_newline ();
-              print_string report.Fleet.Chaos.injection_log
-            end)
-          results;
-        (match metrics with
-        | Some path ->
-          write_file path (Obs.Metrics.prometheus (merged_shard_registry ~domains ~shards results))
-        | None -> ());
-        exit_on_failed_gates "chaos" (fun (r, _) -> Fleet.Chaos.gates r) results
-      end
+    end
+    else
+      run_telemetry (module Fleet.Chaos) ~run_with:Fleet.Chaos.run_with ~cmd:"chaos" ~domains ?metrics
+        (fun _ telemetry -> print_string (Fleet.Telemetry.to_json telemetry))
+        config
   in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:"Gray-failure storm: fault injection across the fleet with self-healing recovery")
     Term.(
-      const run $ seed_arg $ nics $ tenants $ policy $ rounds $ packets $ intensity $ stride $ flips $ kill_nics
+      const run $ seed_arg $ nics $ tenants $ policy_arg $ rounds $ packets $ intensity $ stride $ flips $ kill_nics
       $ kill_nfs $ log $ json $ metrics_arg $ domains_arg $ shards_arg)
 
 let datapath_cmd =
@@ -637,28 +639,15 @@ let vf_cmd =
   let quantum = Arg.(value & opt int 1024 & info [ "quantum" ] ~docv:"BYTES" ~doc:"Stage-1 byte quantum per weight unit") in
   let shares = Arg.(value & flag & info [ "shares" ] ~doc:"Print the per-tenant share table of the first NIC") in
   let run seed nics vfs cycles quantum shares =
-    let fail msg =
-      prerr_endline msg;
-      exit 2
-    in
-    if nics < 1 then fail "vf: --nics must be >= 1";
-    if vfs < 1 || vfs > 4096 then fail "vf: --vfs must be in 1..4096";
-    if cycles < 1 then fail "vf: --cycles must be >= 1";
-    if quantum < 1 then fail "vf: --quantum must be >= 1";
     let seed = Option.value seed ~default:42 in
-    let config = { Vf.Table.default_config with Vf.Table.quantum } in
-    let t0 = Sys.time () in
-    let r = Vf.Scenario.run ~config ~nics ~vfs ~cycles ~seed () in
-    let secs = Sys.time () -. t0 in
-    Printf.printf "vf: %d NIC(s) x %d VFs, %d cycles, quantum %d, seed %d\n" nics vfs cycles quantum seed;
-    print_string (Vf.Scenario.summary r);
-    (match (shares, r.Vf.Scenario.nics) with
-    | true, nr :: _ -> print_string (Obs.Fairness.summary nr.Vf.Scenario.report)
-    | _ -> ());
-    if secs > 0. then
-      Printf.printf "throughput: %.0f scheduled pkts/sec (wall, non-deterministic)\n"
-        (float_of_int r.Vf.Scenario.total_pkts /. secs);
-    exit_on_failed_gates "vf" Vf.Scenario.gates [| r |]
+    run_scenario (module Vf.Scenario) ~cmd:"vf"
+      ~print:(fun r ->
+        Printf.printf "vf: %d NIC(s) x %d VFs, %d cycles, quantum %d, seed %d\n" nics vfs cycles quantum seed;
+        print_string (Vf.Scenario.summary r);
+        match (shares, r.Vf.Scenario.nics) with
+        | true, nr :: _ -> print_string (Obs.Fairness.summary nr.Vf.Scenario.report)
+        | _ -> ())
+      { Vf.Scenario.nics; vfs; cycles; seed; table = { Vf.Table.default_config with Vf.Table.quantum } }
   in
   Cmd.v
     (Cmd.info "vf"
@@ -673,19 +662,11 @@ let qos_cmd =
   let slo = Arg.(value & opt int 2000 & info [ "slo" ] ~docv:"CYCLES" ~doc:"Victim latency SLO in cycles") in
   let starve = Arg.(value & flag & info [ "starve" ] ~doc:"Starvation variant: zero structural slack (capacity = sum of guarantees)") in
   let run seed tenants rounds requests factor slo starve =
-    let fail msg =
-      prerr_endline msg;
-      exit 2
-    in
-    if tenants < 2 then fail "qos: --tenants must be >= 2";
-    if rounds < 1 then fail "qos: --rounds must be >= 1";
-    if requests < 4 then fail "qos: --requests must be >= 4";
-    if factor < 1 then fail "qos: --factor must be >= 1";
-    if slo < 1 then fail "qos: --slo must be >= 1";
-    let config =
+    let default = Fleet.Qos_scenario.default_config in
+    run_scenario (module Fleet.Qos_scenario) ~cmd:"qos"
       {
-        Fleet.Chaos.default_qos_config with
-        Fleet.Chaos.q_seed = Option.value seed ~default:Fleet.Chaos.default_qos_config.Fleet.Chaos.q_seed;
+        default with
+        Fleet.Qos_scenario.q_seed = Option.value seed ~default:default.Fleet.Qos_scenario.q_seed;
         q_tenants = tenants;
         q_rounds = rounds;
         q_requests = requests;
@@ -693,10 +674,6 @@ let qos_cmd =
         q_slo = slo;
         q_starve = starve;
       }
-    in
-    let report, _sup = Fleet.Chaos.run_qos config in
-    print_string (Fleet.Chaos.qos_summary report);
-    exit_on_failed_gates "qos" Fleet.Chaos.qos_gates [| report |]
   in
   Cmd.v
     (Cmd.info "qos"
@@ -715,27 +692,16 @@ let ddos_cmd =
     Arg.(value & opt int 10 & info [ "log2-buckets" ] ~docv:"B" ~doc:"Whitelist cuckoo filter: 2^$(docv) buckets x 4 slots")
   in
   let run seed flows factor pkts log2_buckets =
-    let fail msg =
-      prerr_endline msg;
-      exit 2
-    in
-    if flows < 1 then fail "ddos: --flows must be >= 1";
-    if factor < 1 then fail "ddos: --factor must be >= 1";
-    if pkts < 1 then fail "ddos: --pkts-per-flow must be >= 1";
-    if log2_buckets < 1 || log2_buckets > 28 then fail "ddos: --log2-buckets must be in 1..28";
-    let config =
+    let default = Fleet.Ddos_scenario.default_config in
+    run_scenario (module Fleet.Ddos_scenario) ~cmd:"ddos"
       {
-        Fleet.Chaos.default_ddos_config with
-        Fleet.Chaos.d_seed = Option.value seed ~default:Fleet.Chaos.default_ddos_config.Fleet.Chaos.d_seed;
+        default with
+        Fleet.Ddos_scenario.d_seed = Option.value seed ~default:default.Fleet.Ddos_scenario.d_seed;
         d_benign_flows = flows;
         d_attack_factor = factor;
         d_packets_per_flow = pkts;
         d_log2_buckets = log2_buckets;
       }
-    in
-    let r = Fleet.Chaos.run_ddos config in
-    print_string (Fleet.Chaos.ddos_summary r);
-    exit_on_failed_gates "ddos" Fleet.Chaos.ddos_gates [| r |]
   in
   Cmd.v
     (Cmd.info "ddos"
@@ -759,21 +725,11 @@ let fabric_cmd =
   let tamper = Arg.(value & opt int 16 & info [ "tamper" ] ~docv:"N" ~doc:"Adversarial bit-flipped frames") in
   let no_kill = Arg.(value & flag & info [ "no-kill" ] ~doc:"Skip the mid-run tracker-NIC kill and failover") in
   let run seed nics flows pkts window buffer replay reorder tamper no_kill metrics domains shards =
-    let fail msg =
-      prerr_endline msg;
-      exit 2
-    in
-    if nics < 3 then fail "fabric: --nics must be >= 3 (proxy, tracker, failover spare)";
-    if flows < 1 then fail "fabric: --flows must be >= 1";
-    if pkts < 1 then fail "fabric: --pkts-per-flow must be >= 1";
-    if window < 1 || window > 62 then fail "fabric: --window must be in 1..62";
-    if buffer < 0 then fail "fabric: --buffer must be >= 0";
-    if replay < 0 || reorder < 0 || tamper < 0 then
-      fail "fabric: --replay/--reorder/--tamper must be >= 0";
-    let config =
+    let default = Fleet.Fabric_scenario.default_config in
+    run_scenario (module Fleet.Fabric_scenario) ~cmd:"fabric" ~domains ?shards ?metrics
       {
-        Fleet.Chaos.default_fabric_config with
-        Fleet.Chaos.f_seed = Option.value seed ~default:Fleet.Chaos.default_fabric_config.Fleet.Chaos.f_seed;
+        default with
+        Fleet.Fabric_scenario.f_seed = Option.value seed ~default:default.Fleet.Fabric_scenario.f_seed;
         f_nics = nics;
         f_flows = flows;
         f_packets_per_flow = pkts;
@@ -784,30 +740,6 @@ let fabric_cmd =
         f_tamper = tamper;
         f_kill = not no_kill;
       }
-    in
-    let shards = Option.value shards ~default:1 in
-    if shards = 1 then begin
-      let sink = if metrics = None then Obs.null else Obs.create () in
-      let r = Fleet.Chaos.run_fabric_with ~sink ~domains config in
-      print_string (Fleet.Chaos.fabric_summary r);
-      (match (metrics, Obs.registry sink) with
-      | Some path, Some reg -> write_file path (Obs.Metrics.prometheus reg)
-      | _ -> ());
-      exit_on_failed_gates "fabric" Fleet.Chaos.fabric_gates [| r |]
-    end
-    else begin
-      if metrics <> None then begin
-        prerr_endline "fabric: --metrics applies to single-shard runs (drop --shards)";
-        exit 2
-      end;
-      let reports = Fleet.Chaos.run_fabric_many ~domains ~shards config in
-      Array.iteri
-        (fun i (r : Fleet.Chaos.fabric_report) ->
-          Printf.printf "=== shard %d (seed %d) ===\n" i r.Fleet.Chaos.f_config.Fleet.Chaos.f_seed;
-          print_string (Fleet.Chaos.fabric_summary r))
-        reports;
-      exit_on_failed_gates "fabric" Fleet.Chaos.fabric_gates reports
-    end
   in
   Cmd.v
     (Cmd.info "fabric"

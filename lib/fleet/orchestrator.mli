@@ -50,6 +50,12 @@ val tenants : t -> tenant array
 val telemetry : t -> Telemetry.t
 val vendor : t -> Snic.Identity.vendor
 
+(** [expected_measurement cfg handle] — the measurement a remote
+    verifier recomputes from the launch config it requested plus the
+    cores and RAM window the launch assigned.  A NIC OS that staged a
+    different image or altered the rules cannot quote it. *)
+val expected_measurement : Snic.Instructions.launch_config -> Snic.Instructions.handle -> string
+
 (** Why a placement attempt failed, split so a supervisor can react:
     [No_capacity] is an alarm (retrying cannot help until something is
     evicted or readmitted), [Create_failed (Stage_fault _)] and

@@ -38,13 +38,32 @@ type report = {
   alive_nics : int;
 }
 
-(* Spread the failure budget over the gaps between rounds: a run with R
-   rounds has R-1 gaps; gap g gets the g-th share of each budget. *)
-let budget_for ~total ~gaps ~gap =
-  if gaps <= 0 then if gap = 0 then total else 0
-  else (total * (gap + 1) / gaps) - (total * gap / gaps)
+(* Spread the failure budgets over the gaps between rounds: a run with
+   R rounds has R-1 gaps; gap g gets the g-th share of each budget. *)
+let gap_failures orch rng ~kill_nics ~kill_nfs ~rounds ~gap =
+  let gaps = rounds - 1 in
+  let share total = (total * (gap + 1) / gaps) - (total * gap / gaps) in
+  if gap >= gaps then None
+  else
+    match (share kill_nics, share kill_nfs) with
+    | 0, 0 -> None
+    | kn, kf -> Some (Failure.inject orch rng ~kill_nics:kn ~kill_nfs:kf)
+
+let seed c = c.seed
+let with_seed c seed = { c with seed }
+
+let validate c =
+  Run.check
+    [
+      (c.n_nics >= 1, "nics must be >= 1");
+      (c.n_tenants >= 1, "tenants must be >= 1");
+      (c.rounds >= 1, "rounds must be >= 1");
+      (c.packets_per_round >= 1, "packets per round must be >= 1");
+      (c.kill_nics >= 0 && c.kill_nfs >= 0, "kill budgets must be >= 0");
+    ]
 
 let run_with ?(sink = Obs.null) ?(domains = 1) config =
+  Run.valid (validate config);
   let orch =
     Orchestrator.create ~sink ~domains
       {
@@ -57,24 +76,15 @@ let run_with ?(sink = Obs.null) ?(domains = 1) config =
   in
   let initial_attested = Orchestrator.attested_count orch in
   let fail_rng = Trace.Rng.create ~seed:(config.seed lxor 0xDEAD) in
-  let gaps = config.rounds - 1 in
   let rounds = ref [] in
   let scrub_failures = ref 0 in
   for i = 0 to config.rounds - 1 do
     let traffic = Frontend.replay orch ~seed:(config.seed + (131 * i)) ~packets:config.packets_per_round () in
     let failures =
-      if i >= gaps then None
-      else begin
-        let kn = budget_for ~total:config.kill_nics ~gaps ~gap:i in
-        let kf = budget_for ~total:config.kill_nfs ~gaps ~gap:i in
-        if kn = 0 && kf = 0 then None
-        else begin
-          let r = Failure.inject orch fail_rng ~kill_nics:kn ~kill_nfs:kf in
-          scrub_failures := !scrub_failures + r.Failure.scrub_failures;
-          Some r
-        end
-      end
+      gap_failures orch fail_rng ~kill_nics:config.kill_nics ~kill_nfs:config.kill_nfs ~rounds:config.rounds
+        ~gap:i
     in
+    Option.iter (fun r -> scrub_failures := !scrub_failures + r.Failure.scrub_failures) failures;
     rounds := { index = i; traffic; failures } :: !rounds
   done;
   let nodes = Orchestrator.nodes orch in
@@ -95,17 +105,7 @@ let run_with ?(sink = Obs.null) ?(domains = 1) config =
   in
   (report, orch)
 
-let run ?domains config = fst (run_with ?domains config)
-
-(* Sharded fan-out: shard i is the same scenario with the derived seed,
-   on its own rack and (optionally) its own recording sink.  Inner runs
-   stay single-domain — the parallelism budget is spent on whole shards,
-   which keeps every shard's execution identical to a solo run. *)
-let run_many ?(domains = 1) ?(record = false) ~shards config =
-  Par.Engine.map_seeded ~domains ~seed:config.seed ~shards (fun ~shard:_ ~seed ->
-      let sink = if record then Obs.create () else Obs.null in
-      let report, _orch = run_with ~sink { config with seed } in
-      (report, sink))
+let run ?sink ?domains config = fst (run_with ?sink ?domains config)
 
 let summary r =
   let b = Buffer.create 1024 in

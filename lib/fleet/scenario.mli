@@ -21,6 +21,13 @@ type config = {
     3 rounds x 600 packets, 2 NIC kills, 4 NF kills. *)
 val default_config : config
 
+(** [gap_failures orch rng ~kill_nics ~kill_nfs ~rounds ~gap] injects
+    gap [gap]'s share of each fail-stop budget after round [gap] of
+    [rounds] ({!Failure.inject}); [None] after the last round or when
+    both shares are 0. *)
+val gap_failures :
+  Orchestrator.t -> Trace.Rng.t -> kill_nics:int -> kill_nfs:int -> rounds:int -> gap:int -> Failure.report option
+
 type round = { index : int; traffic : Frontend.stats; failures : Failure.report option }
 
 type report = {
@@ -36,17 +43,12 @@ type report = {
   alive_nics : int;
 }
 
-(** [run ?domains config] — [domains] (default 1) parallelizes the NIC
-    boot phase ({!Orchestrator.create}); the report is byte-identical
-    for every value. *)
-val run : ?domains:int -> config -> report
-
-(** Human-readable multi-line summary. *)
-val summary : report -> string
-
-(** What makes a run pass: no NF runs unattested and every teardown
-    scrub verified ([unattested_running = 0], [scrub_failures = 0]). *)
-val gates : report -> Obs.Gate.t list
+(** {!Run.S} for the rack.  [validate]: NICs, tenants, rounds and
+    packets per round >= 1, kill budgets >= 0.  [run]: [domains]
+    parallelizes the NIC boot phase ({!Orchestrator.create}).  [gates]:
+    no NF runs unattested and every teardown scrub verified
+    ([unattested_running = 0], [scrub_failures = 0]). *)
+include Run.S with type config := config and type report := report
 
 (** Telemetry exports for the run behind [report] are taken from the
     orchestrator; [run_with] returns it alongside the report when the
@@ -54,15 +56,3 @@ val gates : report -> Obs.Gate.t list
     devices (one Chrome pid per NIC) and shares its metrics registry
     with the fleet telemetry. *)
 val run_with : ?sink:Obs.sink -> ?domains:int -> config -> report * Orchestrator.t
-
-(** [run_many ?domains ?record ~shards config] runs [shards] independent
-    copies of the scenario, shard [i] re-seeded with
-    [Par.Seed.derive ~seed:config.seed ~shard:i], fanned across
-    [domains] OCaml domains (default 1; each shard itself runs
-    single-domain).  Reports come back in shard order, byte-identical
-    for every [domains] value.  With [record] (default false) each shard
-    runs under its own recording sink — returned alongside its report —
-    whose registries the caller merges via [Obs.Metrics.merge_into]
-    (recording sinks must never be shared across domains; see
-    PARALLELISM.md). *)
-val run_many : ?domains:int -> ?record:bool -> shards:int -> config -> (report * Obs.sink) array

@@ -23,7 +23,9 @@ type nic_result = {
   lat_report : Obs.Fairness.report;
 }
 
-type result = {
+type config = { nics : int; vfs : int; cycles : int; seed : int; table : Table.config }
+
+type report = {
   nics : nic_result list;
   total_pkts : int;
   total_bytes : int;
@@ -138,12 +140,23 @@ let of_nics results =
     lat_jain_min = worst Float.min (fun r -> r.lat_report.Obs.Fairness.index) infinity;
   }
 
-let run ?(sink = Obs.null) ?(config = Table.default_config) ~nics ~vfs ~cycles ~seed () =
-  if nics < 1 then invalid_arg "Vf.Scenario.run: nics must be >= 1";
-  if vfs < 1 then invalid_arg "Vf.Scenario.run: vfs must be >= 1";
+let seed (c : config) = c.seed
+let with_seed c seed = { c with seed }
+
+let validate (c : config) =
+  if c.nics < 1 then Error "nics must be >= 1"
+  else if c.vfs < 1 || c.vfs > 4096 then Error "vfs must be in 1..4096"
+  else if c.cycles < 1 then Error "cycles must be >= 1"
+  else if c.table.quantum < 1 then Error "quantum must be >= 1"
+  else Ok ()
+
+(* Every NIC is its own machine, driven in turn: [domains] has no rack
+   boot to fan out. *)
+let run ?(sink = Obs.null) ?domains:_ (c : config) =
+  (match validate c with Ok () -> () | Error msg -> invalid_arg msg);
   of_nics
-    (List.init nics (fun nic ->
-         run_nic ~sink ~config ~nic ~cycles ~seed ~vnics:(default_vnics ~nic ~vfs) ()))
+    (List.init c.nics (fun nic ->
+         run_nic ~sink ~config:c.table ~nic ~cycles:c.cycles ~seed:c.seed ~vnics:(default_vnics ~nic ~vfs:c.vfs) ()))
 
 let gates r =
   Obs.Gate.

@@ -1,4 +1,5 @@
-(** Deterministic saturation driver for VF fairness runs.
+(** Deterministic saturation driver for VF fairness runs (one of the
+    six scenarios of shape [Fleet.Run.S]).
 
     Attaches every VF of a fresh S-NIC machine, keeps all of them
     backlogged, serves roughly [cycles] full stage-1 rotations, and
@@ -20,7 +21,15 @@ type nic_result = {
           the QoS noisy-neighbor report uses. *)
 }
 
-type result = {
+type config = {
+  nics : int;  (** independent NICs, each fully populated *)
+  vfs : int;  (** VFs per NIC (1..4096) *)
+  cycles : int;  (** stage-1 rotations to serve *)
+  seed : int;
+  table : Table.config;  (** VF table shape; [vfs] is overridden per NIC *)
+}
+
+type report = {
   nics : nic_result list;
   total_pkts : int;
   total_bytes : int;
@@ -50,27 +59,28 @@ val run_nic :
 val default_vnics : nic:int -> vfs:int -> (int * int) list
 (** [vfs] tenants with weights cycling 1, 2, 4, 8 down the VF ids. *)
 
-val of_nics : nic_result list -> result
+val of_nics : nic_result list -> report
 (** Totals and worst-case fairness over independently driven NICs. *)
 
-val run :
-  ?sink:Obs.sink ->
-  ?config:Table.config ->
-  nics:int ->
-  vfs:int ->
-  cycles:int ->
-  seed:int ->
-  unit ->
-  result
-(** [nics] independent NICs, each fully populated via {!default_vnics}. *)
+val seed : config -> int
+val with_seed : config -> int -> config
 
-val gates : result -> Obs.Gate.t list
+val validate : config -> (unit, string) result
+(** At least 1 NIC, 1..4096 VFs per NIC, and a cycle count and stage-1
+    quantum of at least 1. *)
+
+val run : ?sink:Obs.sink -> ?domains:int -> config -> report
+(** [nics] independent NICs, each fully populated via {!default_vnics}.
+    The scenario has no rack to boot, so [domains] is ignored.  Raises
+    [Invalid_argument] with {!validate}'s message on an invalid config. *)
+
+val gates : report -> Obs.Gate.t list
 (** What makes a VF run pass: [jain_min >= 0.95] and every tenant within
     5% of its weighted share ([max_share_err_pct <= 5]). *)
 
 val nic_summary : nic_result -> string
 (** One deterministic line (no timing) for a NIC. *)
 
-val summary : result -> string
+val summary : report -> string
 (** Per-NIC lines plus a totals footer; byte-identical across runs with
     the same parameters. *)

@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI smoke checks, one section per matrix job:
 #
-#   sh scripts/smoke.sh chaos|bench|oracle|vf|qos|par|ddos|fabric
+#   sh scripts/smoke.sh fleet|chaos|bench|oracle|vf|qos|par|ddos|fabric
 #
 # A scenario subcommand exits 1 when its report fails one of its own
 # gates, so running it on the pinned seed is the gate. On top of that a
@@ -13,9 +13,9 @@ set -eu
 cd "$(dirname "$0")/.."
 
 case "${1:-}" in
-  chaos | bench | oracle | vf | qos | par | ddos | fabric) section=$1 ;;
+  fleet | chaos | bench | oracle | vf | qos | par | ddos | fabric) section=$1 ;;
   *)
-    echo "usage: sh scripts/smoke.sh chaos|bench|oracle|vf|qos|par|ddos|fabric" >&2
+    echo "usage: sh scripts/smoke.sh fleet|chaos|bench|oracle|vf|qos|par|ddos|fabric" >&2
     exit 2
     ;;
 esac
@@ -34,6 +34,16 @@ bench_check() {
 }
 
 case "$section" in
+fleet)
+  # The acceptance rack on the pinned seed, gated by
+  # Fleet.Scenario.gates, and its byte-identical seeded replay.
+  "$cli" fleet --nics 6 --tenants 18 --packets 100 --seed 42 > "$art/fleet_a.txt"
+  cat "$art/fleet_a.txt"
+  "$cli" fleet --nics 6 --tenants 18 --packets 100 --seed 42 > "$art/fleet_b.txt"
+  diff "$art/fleet_a.txt" "$art/fleet_b.txt"
+  echo "seed 42 replays byte-for-byte"
+  ;;
+
 chaos)
   # The fault storm must never let an unattested function run or a
   # teardown scrub go unverified, on any seed, and every recoverable
@@ -152,10 +162,9 @@ vf)
   # 256 VFs per NIC on the pinned seed, gated by Vf.Scenario.gates.
   "$cli" vf --nics 4 --vfs 256 --cycles 32 --seed 42 --shares
 
-  # Same seed, byte-identical schedule. Only the wall-clock throughput
-  # line is non-deterministic; everything else must replay exactly.
-  "$cli" vf --nics 4 --vfs 256 --cycles 32 --seed 42 | grep -v '^throughput:' > "$art/vf_a.txt"
-  "$cli" vf --nics 4 --vfs 256 --cycles 32 --seed 42 | grep -v '^throughput:' > "$art/vf_b.txt"
+  # Same seed, byte-identical schedule.
+  "$cli" vf --nics 4 --vfs 256 --cycles 32 --seed 42 > "$art/vf_a.txt"
+  "$cli" vf --nics 4 --vfs 256 --cycles 32 --seed 42 > "$art/vf_b.txt"
   diff "$art/vf_a.txt" "$art/vf_b.txt"
   echo "seed 42 replays byte-for-byte"
   bench_check vf
@@ -163,7 +172,7 @@ vf)
 
 qos)
   # The noisy-neighbor arc on the pinned seed, gated by
-  # Fleet.Chaos.qos_gates. The zero-slack variant proves donation alone
+  # Fleet.Qos_scenario.gates. The zero-slack variant proves donation alone
   # prevents starvation.
   "$cli" qos --seed 42
   "$cli" qos --seed 42 --starve
@@ -199,7 +208,7 @@ par)
   ;;
 
 ddos)
-  # The SYN flood on the pinned seed, gated by Fleet.Chaos.ddos_gates.
+  # The SYN flood on the pinned seed, gated by Fleet.Ddos_scenario.gates.
   # The invariants line is the stable greppable summary tail.
   out=$("$cli" ddos --seed 42)
   echo "$out"
@@ -215,7 +224,7 @@ ddos)
 
 fabric)
   # The cross-NIC chain on the pinned seed, gated by
-  # Fleet.Chaos.fabric_gates (mid-run NIC kill included).
+  # Fleet.Fabric_scenario.gates (mid-run NIC kill included).
   out=$("$cli" fabric --seed 42)
   echo "$out"
   echo "$out" | grep -q "invariants: benign_mac_fail=0 replay_rejects=24/24 stale_rejects=24/24 tamper_rejects=16/16 goodput_ratio=1.0000 failover=1 fail_closed=1" \

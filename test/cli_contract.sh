@@ -111,18 +111,49 @@ set +e
 "$cli" ddos --log2-buckets 99 > /dev/null 2>&1
 [ $? -eq 2 ] || fail "'ddos --log2-buckets 99' should exit 2"
 
-# fabric-specific validation: the chain needs three NICs, the receive
-# window must fit the RFC 4303-style bitmap, and --metrics cannot
-# combine with sharding (one sink per run).
+# fabric-specific validation: the chain needs three NICs and the
+# receive window must fit the RFC 4303-style bitmap.
 "$cli" fabric --nics 2 > /dev/null 2>&1
 [ $? -eq 2 ] || fail "'fabric --nics 2' should exit 2"
 "$cli" fabric --window 63 > /dev/null 2>&1
 [ $? -eq 2 ] || fail "'fabric --window 63' should exit 2"
 "$cli" fabric --flows 0 > /dev/null 2>&1
 [ $? -eq 2 ] || fail "'fabric --flows 0' should exit 2"
-"$cli" fabric --shards 2 --metrics /tmp/fab.prom > /dev/null 2>&1
-[ $? -eq 2 ] || fail "'fabric --shards 2 --metrics' should exit 2"
+
+# fleet and chaos validate their configs like every other scenario: an
+# empty rack, a negative tenant count, no rounds or negative packets
+# are status-2 errors, not a vacuous pass (exit 0) or an uncaught
+# Invalid_argument (exit 125).
+for args in "fleet --nics 0" "fleet --tenants=-1" "chaos --rounds 0" "chaos --packets=-1 --rounds 1"; do
+  "$cli" $args > /dev/null 2>&1
+  status=$?
+  [ "$status" -eq 2 ] || fail "'$args' exited $status, want 2"
+done
 set -e
+
+# A sharded run writes the merged shard registries to --metrics, fabric
+# included.
+tmp_metrics=$(mktemp)
+"$cli" fabric --shards 2 --metrics "$tmp_metrics" > /dev/null \
+  || fail "'fabric --shards 2 --metrics' exited non-zero"
+grep -q "^par_shards_total 2$" "$tmp_metrics" || fail "'fabric --shards 2 --metrics' wrote no par_shards_total 2"
+rm -f "$tmp_metrics"
+
+# An unknown placement policy is a cmdliner conv error (124 + usage)
+# that lists the valid names, driven by Fleet.Policy.of_string.
+set +e
+err=$("$cli" fleet --policy nope 2>&1 > /dev/null)
+status=$?
+set -e
+[ "$status" -eq 124 ] || fail "'fleet --policy nope' exited $status, want 124"
+case "$err" in
+  *Usage:*) : ;;
+  *) fail "'fleet --policy nope' printed no usage line" ;;
+esac
+case "$err" in
+  *first-fit*tco-aware*) : ;;
+  *) fail "'fleet --policy nope' error does not list the valid policies" ;;
+esac
 
 # An unknown NF short name anywhere a command takes one is a cmdliner
 # conv error (124 + usage) that lists the valid names, driven by
@@ -215,4 +246,4 @@ if [ -n "$bench" ]; then
   [ "$status" -eq 1 ] || fail "'bench --only oracle --check' on a datapath baseline exited $status, want 1"
 fi
 
-echo "cli contract holds (fleet chaos trace datapath oracle vf qos ddos fabric attacks; --domains; --nf; bench --only, --seed, --check)"
+echo "cli contract holds (fleet chaos trace datapath oracle vf qos ddos fabric attacks; --domains; --nf; --policy; bench --only, --seed, --check)"

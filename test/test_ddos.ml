@@ -1,9 +1,10 @@
 (* CuckooGuard: the cuckoo-filter flow tracker, the SYN-cookie split
    proxy, the adversarial traffic generators and the end-to-end ddos
-   chaos scenario.  The qcheck properties pin the filter's advertised
-   bounds (no false negatives, bounded false positives, load factor and
-   occupancy never past capacity, memory flat); the unit tests pin the
-   cookie protocol's round trip and rejection edges; the determinism
+   scenario (its replay and validation laws are in test_scenarios.ml).
+   The qcheck properties pin the filter's advertised bounds (no false
+   negatives, bounded false positives, load factor and occupancy never
+   past capacity, memory flat); the unit tests pin the cookie
+   protocol's round trip and rejection edges; the determinism
    tests diff generator digests across seeds. *)
 
 let tuple ~a ~b ~port =
@@ -280,36 +281,38 @@ let test_wire_sizes_pinned () =
         (Trace.Flowgen.payload_for_frame ~frame_size:1 ~proto))
     [ (Net.Packet.Tcp, 54); (Net.Packet.Udp, 42) ]
 
-(* ---------- End to end: the chaos ddos scenario ---------- *)
+(* ---------- End to end: the ddos scenario ---------- *)
 
 let small_config =
   {
-    Fleet.Chaos.default_ddos_config with
-    Fleet.Chaos.d_benign_flows = 32;
+    Fleet.Ddos_scenario.default_config with
+    Fleet.Ddos_scenario.d_benign_flows = 32;
     d_attack_factor = 4;
     d_packets_per_flow = 2;
     d_log2_buckets = 6;
   }
 
 let test_run_ddos_snic_invariants () =
-  let r = Fleet.Chaos.run_ddos small_config in
-  Alcotest.(check bool) "snic: attacker cannot tamper" false r.Fleet.Chaos.d_snic_tampered;
-  Alcotest.(check bool) "snic: attacker cannot steal the key" false r.Fleet.Chaos.d_snic_key_stolen;
-  Alcotest.(check bool) "snic: memory flat" true r.Fleet.Chaos.d_snic_mem_flat;
-  Alcotest.(check bool) "snic: goodput >= 0.8x baseline" true (r.Fleet.Chaos.d_snic_goodput_ratio >= 0.8);
+  let r = Fleet.Ddos_scenario.run small_config in
+  Alcotest.(check bool) "snic: attacker cannot tamper" false r.Fleet.Ddos_scenario.d_snic_tampered;
+  Alcotest.(check bool) "snic: attacker cannot steal the key" false r.Fleet.Ddos_scenario.d_snic_key_stolen;
+  Alcotest.(check bool) "snic: memory flat" true r.Fleet.Ddos_scenario.d_snic_mem_flat;
+  Alcotest.(check bool) "snic: goodput >= 0.8x baseline" true (r.Fleet.Ddos_scenario.d_snic_goodput_ratio >= 0.8);
   (* Every mode drops every attack SYN (the cookie is stateless), and the
      defense footprint never grows anywhere. *)
   List.iter
-    (fun (m : Fleet.Chaos.ddos_mode_report) ->
+    (fun (m : Fleet.Ddos_scenario.mode_report) ->
       Alcotest.(check int)
         (Oracle.Campaign.mode_id m.dm_mode ^ " drops all attack SYNs")
-        m.Fleet.Chaos.dm_attack_pkts m.Fleet.Chaos.dm_attack_dropped;
-      Alcotest.(check bool) (Oracle.Campaign.mode_id m.dm_mode ^ " memory flat") true m.Fleet.Chaos.dm_mem_flat)
-    r.Fleet.Chaos.d_mode_reports
+        m.Fleet.Ddos_scenario.dm_attack_pkts m.Fleet.Ddos_scenario.dm_attack_dropped;
+      Alcotest.(check bool)
+        (Oracle.Campaign.mode_id m.dm_mode ^ " memory flat")
+        true m.Fleet.Ddos_scenario.dm_mem_flat)
+    r.Fleet.Ddos_scenario.d_mode_reports
 
 let test_run_ddos_gates () =
-  let r = Fleet.Chaos.run_ddos small_config in
-  let gates = Fleet.Chaos.ddos_gates r in
+  let r = Fleet.Ddos_scenario.run small_config in
+  let gates = Fleet.Ddos_scenario.gates r in
   Alcotest.(check bool) "gate keys and rules" true
     (List.map (fun (g : Obs.Gate.t) -> (g.key, g.rule)) gates
     = [
@@ -322,16 +325,11 @@ let test_run_ddos_gates () =
   Alcotest.(check (list string)) "doctored field is reported" [ "snic.mem_flat" ]
     (List.map
        (fun (g : Obs.Gate.t) -> g.key)
-       (Obs.Gate.failed (Fleet.Chaos.ddos_gates { r with Fleet.Chaos.d_snic_mem_flat = false })))
-
-let test_run_ddos_deterministic () =
-  let s1 = Fleet.Chaos.ddos_summary (Fleet.Chaos.run_ddos small_config) in
-  let s2 = Fleet.Chaos.ddos_summary (Fleet.Chaos.run_ddos small_config) in
-  Alcotest.(check string) "same config, same summary" s1 s2
+       (Obs.Gate.failed (Fleet.Ddos_scenario.gates { r with Fleet.Ddos_scenario.d_snic_mem_flat = false })))
 
 let test_run_ddos_counters () =
   let sink = Obs.create () in
-  ignore (Fleet.Chaos.run_ddos ~sink small_config);
+  ignore (Fleet.Ddos_scenario.run ~sink small_config);
   let counter name =
     match Obs.registry sink with
     | None -> Alcotest.fail "recording sink has a registry"
@@ -341,12 +339,6 @@ let test_run_ddos_counters () =
   Alcotest.(check bool) "attack drops counted" true (counter "snic_ddos_attack_drop_total" > 0);
   Alcotest.(check bool) "goodput counted" true (counter "snic_ddos_goodput_pkt_total" > 0);
   Alcotest.(check bool) "admits counted" true (counter "snic_ddos_admit_total" > 0)
-
-let test_run_ddos_validation () =
-  Alcotest.check_raises "no modes" (Invalid_argument "Chaos.run_ddos: need at least one mode") (fun () ->
-      ignore (Fleet.Chaos.run_ddos { small_config with Fleet.Chaos.d_modes = [] }));
-  Alcotest.check_raises "no flows" (Invalid_argument "Chaos.run_ddos: need at least 1 benign flow")
-    (fun () -> ignore (Fleet.Chaos.run_ddos { small_config with Fleet.Chaos.d_benign_flows = 0 }))
 
 let suite =
   [
@@ -368,8 +360,6 @@ let suite =
     Alcotest.test_case "flowgen distinct at 10^6" `Slow test_flowgen_distinct_at_scale;
     Alcotest.test_case "figure-8 wire sizes pinned" `Quick test_wire_sizes_pinned;
     Alcotest.test_case "run_ddos snic invariants" `Quick test_run_ddos_snic_invariants;
-    Alcotest.test_case "run_ddos deterministic" `Quick test_run_ddos_deterministic;
     Alcotest.test_case "run_ddos obs counters" `Quick test_run_ddos_counters;
-    Alcotest.test_case "run_ddos validation" `Quick test_run_ddos_validation;
     Alcotest.test_case "run_ddos gates: pinned, a doctored figure fails" `Quick test_run_ddos_gates;
   ]

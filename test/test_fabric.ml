@@ -4,8 +4,8 @@
    and the end-to-end cross-NIC chain scenario with mid-run failover.
    The qcheck properties pin the codec's strictness (round trip, no
    best-effort parses, any bit flip fails the MAC) and the window's
-   monotonicity; the scenario tests mirror test_ddos's 3-seed
-   determinism pattern. *)
+   monotonicity; the scenario's replay, domain, shard and validation
+   laws are in test_scenarios.ml. *)
 
 let key_of_seed seed = String.init 32 (fun i -> Char.chr ((i * 7) + seed land 0xff))
 let key_a = key_of_seed 1
@@ -318,8 +318,8 @@ let test_establish_identity_reuse () =
 
 let small_config =
   {
-    Fleet.Chaos.default_fabric_config with
-    Fleet.Chaos.f_flows = 24;
+    Fleet.Fabric_scenario.default_config with
+    Fleet.Fabric_scenario.f_flows = 24;
     f_packets_per_flow = 2;
     f_replay = 8;
     f_reorder = 8;
@@ -327,29 +327,29 @@ let small_config =
   }
 
 let test_run_fabric_invariants () =
-  let r = Fleet.Chaos.run_fabric small_config in
-  Alcotest.(check int) "no benign MAC failures" 0 r.Fleet.Chaos.f_benign_mac_failures;
-  Alcotest.(check int) "every replay rejected" r.Fleet.Chaos.f_replay_sent r.Fleet.Chaos.f_replay_rejected;
-  Alcotest.(check int) "every stale rejected" r.Fleet.Chaos.f_stale_sent r.Fleet.Chaos.f_stale_rejected;
-  Alcotest.(check int) "every tampered frame rejected" r.Fleet.Chaos.f_tamper_sent r.Fleet.Chaos.f_tamper_rejected;
+  let (r : Fleet.Fabric_scenario.report) = Fleet.Fabric_scenario.run small_config in
+  Alcotest.(check int) "no benign MAC failures" 0 r.f_benign_mac_failures;
+  Alcotest.(check int) "every replay rejected" r.f_replay_sent r.f_replay_rejected;
+  Alcotest.(check int) "every stale rejected" r.f_stale_sent r.f_stale_rejected;
+  Alcotest.(check int) "every tampered frame rejected" r.f_tamper_sent r.f_tamper_rejected;
   Alcotest.(check bool) "adversarial traffic was sent" true
-    (r.Fleet.Chaos.f_replay_sent > 0 && r.Fleet.Chaos.f_stale_sent > 0 && r.Fleet.Chaos.f_tamper_sent > 0);
-  Alcotest.(check bool) "failed over" true r.Fleet.Chaos.f_failed_over;
-  Alcotest.(check bool) "fail closed everywhere" true (Fleet.Chaos.fabric_fail_closed r);
-  Alcotest.(check bool) "dead NIC refused" true r.Fleet.Chaos.f_dead_establish_refused;
-  Alcotest.(check bool) "mis-staged image refused" true r.Fleet.Chaos.f_misstage_rejected;
-  Alcotest.(check bool) "cloned EK refused" true r.Fleet.Chaos.f_clone_rejected;
-  Alcotest.(check bool) "goodput survives the failover" true (r.Fleet.Chaos.f_goodput_ratio >= 0.9);
-  Alcotest.(check int) "rebuilt tracker recovered every admitted flow" r.Fleet.Chaos.f_admitted
-    r.Fleet.Chaos.f_state_recovered;
-  Alcotest.(check bool) "state was replayed from the buffer" true (r.Fleet.Chaos.f_state_replayed > 0);
-  Alcotest.(check bool) "attested establishments happened" true (r.Fleet.Chaos.f_handshakes >= 2);
-  Alcotest.(check bool) "frames crossed the fabric" true (r.Fleet.Chaos.f_hops > 0)
+    (r.f_replay_sent > 0 && r.f_stale_sent > 0 && r.f_tamper_sent > 0);
+  Alcotest.(check bool) "failed over" true r.f_failed_over;
+  Alcotest.(check bool) "fail closed everywhere" true (Fleet.Fabric_scenario.fail_closed r);
+  Alcotest.(check bool) "dead NIC refused" true r.f_dead_establish_refused;
+  Alcotest.(check bool) "mis-staged image refused" true r.f_misstage_rejected;
+  Alcotest.(check bool) "cloned EK refused" true r.f_clone_rejected;
+  Alcotest.(check bool) "goodput survives the failover" true (r.f_goodput_ratio >= 0.9);
+  Alcotest.(check int) "rebuilt tracker recovered every admitted flow" r.f_admitted
+    r.f_state_recovered;
+  Alcotest.(check bool) "state was replayed from the buffer" true (r.f_state_replayed > 0);
+  Alcotest.(check bool) "attested establishments happened" true (r.f_handshakes >= 2);
+  Alcotest.(check bool) "frames crossed the fabric" true (r.f_hops > 0)
 
 let test_run_fabric_gates () =
-  let r = Fleet.Chaos.run_fabric small_config in
+  let r = Fleet.Fabric_scenario.run small_config in
   let keys gates = List.map (fun (g : Obs.Gate.t) -> g.key) gates in
-  let gates = Fleet.Chaos.fabric_gates r in
+  let gates = Fleet.Fabric_scenario.gates r in
   Alcotest.(check bool) "gate keys and rules" true
     (List.map (fun (g : Obs.Gate.t) -> (g.key, g.rule)) gates
     = [
@@ -360,79 +360,31 @@ let test_run_fabric_gates () =
         ("failed_over", Obs.Gate.Equals 1.);
       ]);
   Alcotest.(check int) "seed 42 passes" 0 (List.length (Obs.Gate.failed gates));
-  let failed r = keys (Obs.Gate.failed (Fleet.Chaos.fabric_gates r)) in
+  let failed r = keys (Obs.Gate.failed (Fleet.Fabric_scenario.gates r)) in
   Alcotest.(check (list string)) "doctored MAC count is reported" [ "benign_mac_failures" ]
-    (failed { r with Fleet.Chaos.f_benign_mac_failures = 1 });
+    (failed { r with Fleet.Fabric_scenario.f_benign_mac_failures = 1 });
   Alcotest.(check (list string)) "one unbounced replay is reported" [ "adversary_all_rejected" ]
-    (failed { r with Fleet.Chaos.f_replay_rejected = r.Fleet.Chaos.f_replay_sent - 1 });
+    (failed { r with Fleet.Fabric_scenario.f_replay_rejected = r.Fleet.Fabric_scenario.f_replay_sent - 1 });
   Alcotest.(check (list string)) "a kill without failover is reported" [ "failed_over" ]
-    (failed { r with Fleet.Chaos.f_failed_over = false });
+    (failed { r with Fleet.Fabric_scenario.f_failed_over = false });
   Alcotest.(check bool) "no kill, no failover gate" false
     (List.mem "failed_over"
        (keys
-          (Fleet.Chaos.fabric_gates
-             { r with Fleet.Chaos.f_config = { small_config with Fleet.Chaos.f_kill = false } })))
+          (Fleet.Fabric_scenario.gates
+             { r with Fleet.Fabric_scenario.f_config = { small_config with Fleet.Fabric_scenario.f_kill = false } })))
 
 let test_run_fabric_no_kill () =
-  let r = Fleet.Chaos.run_fabric { small_config with Fleet.Chaos.f_kill = false } in
-  Alcotest.(check bool) "no failover without a kill" false r.Fleet.Chaos.f_failed_over;
-  Alcotest.(check int) "no state replayed" 0 r.Fleet.Chaos.f_state_replayed;
-  Alcotest.(check (float 0.0001)) "goodput matches the baseline" 1.0 r.Fleet.Chaos.f_goodput_ratio;
+  let r = Fleet.Fabric_scenario.run { small_config with Fleet.Fabric_scenario.f_kill = false } in
+  Alcotest.(check bool) "no failover without a kill" false r.Fleet.Fabric_scenario.f_failed_over;
+  Alcotest.(check int) "no state replayed" 0 r.Fleet.Fabric_scenario.f_state_replayed;
+  Alcotest.(check (float 0.0001)) "goodput matches the baseline" 1.0 r.Fleet.Fabric_scenario.f_goodput_ratio;
   (* The negative establishment probes still run and still fail closed. *)
-  Alcotest.(check bool) "fail closed without the kill" true (Fleet.Chaos.fabric_fail_closed r);
-  Alcotest.(check int) "benign traffic still clean" 0 r.Fleet.Chaos.f_benign_mac_failures
-
-(* The ddos suite's determinism pattern: three seeds, each replayed
-   twice byte-identically, and distinct seeds actually diverge. *)
-let test_run_fabric_determinism () =
-  let summaries =
-    List.map
-      (fun seed ->
-        let cfg = { small_config with Fleet.Chaos.f_seed = seed } in
-        let s1 = Fleet.Chaos.fabric_summary (Fleet.Chaos.run_fabric cfg) in
-        let s2 = Fleet.Chaos.fabric_summary (Fleet.Chaos.run_fabric cfg) in
-        Alcotest.(check string) (Printf.sprintf "seed %d replays byte-identically" seed) s1 s2;
-        s1)
-      [ 42; 1337; 20240 ]
-  in
-  Alcotest.(check int) "three seeds diverge" 3 (List.length (List.sort_uniq compare summaries))
-
-let test_run_fabric_domains () =
-  let s1 = Fleet.Chaos.fabric_summary (Fleet.Chaos.run_fabric_with ~domains:1 small_config) in
-  let s4 = Fleet.Chaos.fabric_summary (Fleet.Chaos.run_fabric_with ~domains:4 small_config) in
-  Alcotest.(check string) "domains 1 = domains 4" s1 s4
-
-let test_run_fabric_many () =
-  let shards = Fleet.Chaos.run_fabric_many ~shards:2 small_config in
-  Alcotest.(check int) "two shards" 2 (Array.length shards);
-  Alcotest.(check bool) "shards run under derived seeds" true
-    (shards.(0).Fleet.Chaos.f_events_digest <> shards.(1).Fleet.Chaos.f_events_digest);
-  let again = Fleet.Chaos.run_fabric_many ~domains:2 ~shards:2 small_config in
-  Array.iteri
-    (fun i r ->
-      Alcotest.(check string)
-        (Printf.sprintf "shard %d identical at domains 2" i)
-        (Fleet.Chaos.fabric_summary shards.(i))
-        (Fleet.Chaos.fabric_summary r))
-    again
-
-let test_run_fabric_validation () =
-  let check name msg cfg =
-    Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (Fleet.Chaos.run_fabric cfg))
-  in
-  check "too few NICs" "Chaos.run_fabric: need at least 3 NICs (two stages + a spare)"
-    { small_config with Fleet.Chaos.f_nics = 2 };
-  check "no flows" "Chaos.run_fabric: need at least 1 flow" { small_config with Fleet.Chaos.f_flows = 0 };
-  check "no packets" "Chaos.run_fabric: need at least 1 packet per flow"
-    { small_config with Fleet.Chaos.f_packets_per_flow = 0 };
-  check "window too wide" "Chaos.run_fabric: window must be within 1..62" { small_config with Fleet.Chaos.f_window = 63 };
-  check "negative buffer" "Chaos.run_fabric: negative replay buffer" { small_config with Fleet.Chaos.f_buffer = -1 };
-  check "negative adversary" "Chaos.run_fabric: adversarial counts must be >= 0"
-    { small_config with Fleet.Chaos.f_tamper = -1 }
+  Alcotest.(check bool) "fail closed without the kill" true (Fleet.Fabric_scenario.fail_closed r);
+  Alcotest.(check int) "benign traffic still clean" 0 r.Fleet.Fabric_scenario.f_benign_mac_failures
 
 let test_run_fabric_counters () =
   let sink = Obs.create () in
-  ignore (Fleet.Chaos.run_fabric ~sink small_config);
+  ignore (Fleet.Fabric_scenario.run ~sink small_config);
   let counter name =
     match Obs.registry sink with
     | None -> Alcotest.fail "recording sink has a registry"
@@ -474,10 +426,6 @@ let suite =
     Alcotest.test_case "establish identity reuse" `Quick test_establish_identity_reuse;
     Alcotest.test_case "run_fabric invariants" `Quick test_run_fabric_invariants;
     Alcotest.test_case "run_fabric no kill" `Quick test_run_fabric_no_kill;
-    Alcotest.test_case "run_fabric 3-seed determinism" `Quick test_run_fabric_determinism;
-    Alcotest.test_case "run_fabric domains agree" `Quick test_run_fabric_domains;
-    Alcotest.test_case "run_fabric sharded" `Quick test_run_fabric_many;
-    Alcotest.test_case "run_fabric validation" `Quick test_run_fabric_validation;
     Alcotest.test_case "run_fabric obs counters" `Quick test_run_fabric_counters;
     Alcotest.test_case "run_fabric gates: pinned, a doctored figure fails" `Quick test_run_fabric_gates;
   ]

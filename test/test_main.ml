@@ -29,4 +29,5 @@ let () =
       ("ddos", Test_ddos.suite);
       ("fabric", Test_fabric.suite);
       ("par", Test_par.suite);
+      ("scenarios", Test_scenarios.suite);
     ]

@@ -1,10 +1,10 @@
 (* lib/par: the determinism contract under real parallelism.
 
-   The load-bearing checks are the parallel-vs-sequential digests: the
-   same sharded workload fanned across 2 (or 4) domains must produce
-   byte-identical reports to the single-domain run, for all three
-   shard-able workloads (fleet scenarios, chaos storms, oracle
-   campaigns) on several seeds.  Around those sit the contract edges:
+   The load-bearing check is the parallel-vs-sequential digest: the same
+   sharded oracle campaign fanned across 4 domains must produce
+   byte-identical reports to the single-domain run, on several seeds
+   (the scenarios' sharded runs are checked by the law suite,
+   test_scenarios.ml).  Around it sit the contract edges:
    injective seed derivation (qcheck), shard-order merging under an
    adversarial slow-shard stub, exception propagation, and the
    registry-merge semantics the CLI's --metrics path relies on. *)
@@ -134,52 +134,6 @@ let test_metrics_merge () =
 
 (* ---------------- Parallel-vs-sequential digests ---------------- *)
 
-let fleet_config seed =
-  {
-    Fleet.Scenario.default_config with
-    Fleet.Scenario.seed;
-    n_nics = 6;
-    n_tenants = 12;
-    rounds = 2;
-    packets_per_round = 150;
-  }
-
-let test_fleet_digest () =
-  List.iter
-    (fun seed ->
-      let digest domains =
-        Fleet.Scenario.run_many ~domains ~shards:3 (fleet_config seed)
-        |> Array.map (fun (r, _) -> Fleet.Scenario.summary r)
-        |> Array.to_list |> Par.Digest.strings
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "fleet seed %d: 2 domains == sequential" seed)
-        (digest 1) (digest 2))
-    seeds
-
-let chaos_config seed =
-  {
-    Fleet.Chaos.default_config with
-    Fleet.Chaos.seed;
-    n_nics = 4;
-    n_tenants = 8;
-    rounds = 2;
-    packets_per_round = 100;
-  }
-
-let test_chaos_digest () =
-  List.iter
-    (fun seed ->
-      let digest domains =
-        Fleet.Chaos.run_many ~domains ~shards:2 (chaos_config seed)
-        |> Array.map (fun (r, _) -> Fleet.Chaos.summary r)
-        |> Array.to_list |> Par.Digest.strings
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "chaos seed %d: 2 domains == sequential" seed)
-        (digest 1) (digest 2))
-    seeds
-
 let test_oracle_digest_100k () =
   (* 4 shards x 25k ops = a 100k-op campaign per fan-out.  The summary
      string covers executed counts, per-class tallies and every recorded
@@ -220,8 +174,6 @@ let suite =
     Alcotest.test_case "exception propagation picks lowest shard" `Quick test_engine_exception_propagation;
     Alcotest.test_case "map_seeded derives per-shard seeds" `Quick test_map_seeded;
     Alcotest.test_case "registry merge semantics" `Quick test_metrics_merge;
-    Alcotest.test_case "fleet: parallel == sequential (3 seeds)" `Quick test_fleet_digest;
-    Alcotest.test_case "chaos: parallel == sequential (3 seeds)" `Quick test_chaos_digest;
     Alcotest.test_case "oracle 100k ops: parallel == sequential (3 seeds)" `Slow test_oracle_digest_100k;
     Alcotest.test_case "oracle replay list/array paths agree" `Quick test_oracle_replay_paths_agree;
   ]

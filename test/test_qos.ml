@@ -220,27 +220,16 @@ let prop_starvation_freedom =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Scenario plumbing: the fleet-level noisy-neighbor run is seeded and
-   deterministic, and rejects nonsense shapes. *)
+(* The fleet-level noisy-neighbor scenario: its gates, and that no
+   victim starves (its replay and validation laws are in
+   test_scenarios.ml). *)
 
 let small_qos =
-  { Fleet.Chaos.default_qos_config with Fleet.Chaos.q_tenants = 4; q_rounds = 2; q_requests = 8 }
-
-let test_run_qos_validation () =
-  Alcotest.check_raises "needs an aggressor and a victim"
-    (Invalid_argument "Chaos.run_qos: need at least 2 tenants") (fun () ->
-      ignore (Fleet.Chaos.run_qos { small_qos with Fleet.Chaos.q_tenants = 1 }))
-
-let test_run_qos_deterministic () =
-  let r1, _ = Fleet.Chaos.run_qos small_qos in
-  let r2, _ = Fleet.Chaos.run_qos small_qos in
-  Alcotest.(check string) "same seed, byte-identical summary" (Fleet.Chaos.qos_summary r1)
-    (Fleet.Chaos.qos_summary r2);
-  Alcotest.(check int) "no victim starved" 0 r1.Fleet.Chaos.q_starved
+  { Fleet.Qos_scenario.default_config with Fleet.Qos_scenario.q_tenants = 4; q_rounds = 2; q_requests = 8 }
 
 let test_run_qos_gates () =
-  let r, _ = Fleet.Chaos.run_qos small_qos in
-  let gates = Fleet.Chaos.qos_gates r in
+  let r = Fleet.Qos_scenario.run small_qos in
+  let gates = Fleet.Qos_scenario.gates r in
   Alcotest.(check bool) "gate keys and rules" true
     (List.map (fun (g : Obs.Gate.t) -> (g.key, g.rule)) gates
     = [
@@ -249,10 +238,11 @@ let test_run_qos_gates () =
         ("starved_victims", Obs.Gate.Equals 0.);
       ]);
   Alcotest.(check int) "seed 42 passes" 0 (List.length (Obs.Gate.failed gates));
+  Alcotest.(check int) "no victim starved" 0 r.Fleet.Qos_scenario.q_starved;
   Alcotest.(check (list string)) "a missing steady p99 is reported" [ "victim_p99_steady_cycles" ]
     (List.map
        (fun (g : Obs.Gate.t) -> g.key)
-       (Obs.Gate.failed (Fleet.Chaos.qos_gates { r with Fleet.Chaos.q_victim_p99_steady = None })))
+       (Obs.Gate.failed (Fleet.Qos_scenario.gates { r with Fleet.Qos_scenario.q_victim_p99_steady = None })))
 
 let suite =
   [
@@ -264,7 +254,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_guaranteed_min;
     QCheck_alcotest.to_alcotest prop_work_conservation;
     QCheck_alcotest.to_alcotest prop_starvation_freedom;
-    Alcotest.test_case "run_qos validation" `Quick test_run_qos_validation;
-    Alcotest.test_case "run_qos determinism" `Quick test_run_qos_deterministic;
     Alcotest.test_case "run_qos gates: pinned, a doctored figure fails" `Quick test_run_qos_gates;
   ]
