@@ -7,7 +7,8 @@
 
 let fast = Array.exists (String.equal "--fast") Sys.argv
 
-let usage = "Usage: bench [--fast] [--only SECTION] [--domains N] [--seed N] [--json PATH] [--check BASELINE]"
+let usage =
+  "Usage: bench [--fast] [--only SECTION] [--domains N] [--seed N] [--json PATH] [--metrics PATH] [--check BASELINE]"
 
 (* A malformed flag value or baseline file is a CLI error: exit 124 with
    the usage line before any section runs, never an uncaught exception. *)
@@ -28,7 +29,22 @@ let path_after flag =
   in
   find 1
 
-let json_path = path_after "--json"
+(* An output path is opened at startup (neither truncating it nor leaving
+   a new one behind), so a bad one fails before any section runs, like a
+   bad --check. *)
+let output_path flag =
+  match path_after flag with
+  | None -> None
+  | Some path -> (
+    let existed = Sys.file_exists path in
+    match open_out_gen [ Open_wronly; Open_creat ] 0o644 path with
+    | oc ->
+      close_out oc;
+      if not existed then Sys.remove path;
+      Some path
+    | exception Sys_error msg -> cli_error "%s %s" flag msg)
+
+let json_path = output_path "--json"
 
 (* --only SECTION: run a single named section from [sections] — the CI
    smoke jobs use this to gate regressions without paying for the full
@@ -45,7 +61,7 @@ let seed =
 (* --metrics FILE: dump the seed-42 chaos run's shared Obs registry
    (device counters + fleet counters + latency histograms) as Prometheus
    text — the same registry `snic_cli trace --metrics` exports. *)
-let metrics_path = path_after "--metrics"
+let metrics_path = output_path "--metrics"
 
 (* --domains N: cap the par section's scaling curve (default 8, the full
    1->2->4->8 sweep the committed baseline carries — a capped run will
@@ -765,10 +781,7 @@ let fleet_section () =
 
 (* Deterministic digest of a payload (order-sensitive polynomial hash):
    any byte the datapath loses, duplicates or reorders changes it. *)
-let checksum s =
-  let h = ref 0 in
-  String.iter (fun c -> h := ((!h * 131) + Char.code c) land 0x3FFF_FFFF) s;
-  float_of_int !h
+let checksum s = float_of_int (Par.Digest.fold 0 s)
 
 let datapath_section () =
   header "Datapath: page-granular bulk fast paths vs the per-byte baseline";
@@ -1015,38 +1028,16 @@ let vf_section () =
   header "Virtual functions (lib/vf): two-stage scheduler at fleet density";
   let nics = 64 in
   let vfs_per_nic = 256 in
-  (* A heterogeneous rack (shape cycle small, medium, large, medium =
-     256/512/1024/512 VF slots) takes nics * 256 tenant vNICs, spread
-     round-robin so every NIC serves the same tenant count; weights
-     cycle 1,2,4,8 so each NIC hosts a mix of shares. *)
-  let sites =
-    List.init nics (fun i ->
-        { Fleet.Vfplace.nic = i; slots = (Fleet.Node.shape_of_index i).Fleet.Node.vf_slots })
-  in
-  let vnics =
-    List.init (nics * vfs_per_nic) (fun j ->
-        { Fleet.Vfplace.tenant = j + 1; weight = [| 1; 2; 4; 8 |].(j / nics mod 4) })
-  in
-  let assignments =
-    match Fleet.Vfplace.pack Fleet.Vfplace.Spread ~sites ~vnics with
-    | Ok a -> a
-    | Error e -> failwith ("vf_section placement: " ^ e)
-  in
-  let groups = Fleet.Vfplace.per_nic assignments in
   let cycles = 32 in
+  (* Every NIC hosts 256 tenant vNICs whose weights cycle 1,2,4,8 down
+     the VF ids, so each NIC serves a mix of shares. *)
   let t0 = Sys.time () in
-  let results =
-    List.map
-      (fun (nic, assigns) ->
-        Vf.Scenario.run_nic ~nic ~cycles ~seed
-          ~vnics:(List.map (fun (a : Fleet.Vfplace.assignment) -> (a.tenant, a.weight)) assigns)
-          ())
-      groups
+  let (r : Vf.Scenario.report) =
+    Vf.Scenario.run { Vf.Scenario.nics; vfs = vfs_per_nic; cycles; seed; table = Vf.Table.default_config }
   in
   let secs = Sys.time () -. t0 in
-  let (r : Vf.Scenario.report) = Vf.Scenario.of_nics results in
   let pps = if secs > 0. then float_of_int r.total_pkts /. secs else 0. in
-  (match results with
+  (match r.nics with
   | first :: _ -> Printf.printf "first NIC: %s\n" (Vf.Scenario.nic_summary first)
   | [] -> ());
   Printf.printf "%d NICs x %d VFs = %d tenant vNICs, %d cycles each\n" nics vfs_per_nic (nics * vfs_per_nic) cycles;
@@ -1073,8 +1064,9 @@ let vf_section () =
 
 let qos_section () =
   header "QoS credits (lib/nicsim/qos): noisy neighbor vs latency SLOs";
+  let config = { Fleet.Qos_scenario.default_config with Fleet.Qos_scenario.q_seed = seed } in
   let t0 = Sys.time () in
-  let (r : Fleet.Qos_scenario.report) = Fleet.Qos_scenario.run Fleet.Qos_scenario.default_config in
+  let (r : Fleet.Qos_scenario.report) = Fleet.Qos_scenario.run config in
   let secs = Sys.time () -. t0 in
   let c = Fleet.Qos_scenario.cycles_str in
   Printf.printf "protected run: victim p99 %s (steady %s), unprotected baseline p99 %s\n"
@@ -1102,7 +1094,7 @@ let qos_section () =
   (* Zero-slack variant: capacity = sum of guarantees, so every spare
      credit a victim gets comes from the epoch-rollover donation path.
      Nothing may starve even with no structural headroom. *)
-  let (rs : Fleet.Qos_scenario.report) = Fleet.Qos_scenario.run { Fleet.Qos_scenario.default_config with q_starve = true } in
+  let (rs : Fleet.Qos_scenario.report) = Fleet.Qos_scenario.run { config with q_starve = true } in
   Printf.printf "zero-slack variant: share_min %.4f, starved %d, borrowed %d credits\n" rs.q_share_min rs.q_starved
     (List.fold_left (fun a (t : Fleet.Qos_scenario.tenant) -> a + t.qt_borrowed) 0 rs.q_outcomes);
   m "starve.share_min" rs.q_share_min;

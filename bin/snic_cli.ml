@@ -26,17 +26,24 @@ let metrics_arg =
   Arg.(value & opt (some string) None
        & info [ "metrics" ] ~docv:"FILE" ~doc:"Write a Prometheus text dump of the run's metric registry to $(docv)")
 
-(* --domains / --shards ride on fleet, chaos and oracle.  The converter
-   rejects non-positive values at parse time, so "--domains 0" is a
-   cmdliner usage error (exit 124) exactly like a non-numeric value —
-   the CLI contract test pins this. *)
-let positive_int ~what =
+(* A single flag's range is checked by its converter at parse time, so
+   "--domains 0" is a cmdliner usage error (exit 124) exactly like a
+   non-numeric value — the CLI contract test pins this. *)
+let int_in ~what ~range ok =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "%s must be a positive integer, got %S" what s))
+    | Some n when ok n -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%s must be %s, got %S" what range s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive_int ~what = int_in ~what ~range:"a positive integer" (fun n -> n >= 1)
+
+(* One co-tenant per hard-partitioned L2 way of the timing model. *)
+let cotenancy_int =
+  int_in ~what:"NFS"
+    ~range:(Printf.sprintf "an integer in 1..%d" Uarch.Cpu_model.max_domains)
+    (fun n -> n >= 1 && n <= Uarch.Cpu_model.max_domains)
 
 let domains_arg =
   Arg.(value & opt (positive_int ~what:"DOMAINS") 1
@@ -70,10 +77,28 @@ let merged_shard_registry ~domains ~shards sinks =
     sinks;
   merged
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+(* Invalid input that cmdliner cannot see — a relation between flags, an
+   invalid config, a file that cannot be read or written — exits 2 with
+   "<cmd>: <msg>". *)
+let exit_error ~cmd msg =
+  Printf.eprintf "%s: %s\n" cmd msg;
+  exit 2
+
+(* [check_writable] opens an output file before the run spends any time
+   (neither truncating it nor leaving a new one behind); [write_file]
+   writes it at the end. *)
+let check_writable ~cmd path =
+  let existed = Sys.file_exists path in
+  match open_out_gen [ Open_wronly; Open_creat ] 0o644 path with
+  | oc ->
+    close_out oc;
+    if not existed then Sys.remove path
+  | exception Sys_error msg -> exit_error ~cmd msg
+
+let write_file ~cmd path contents =
+  match Out_channel.with_open_text path (fun oc -> output_string oc contents) with
+  | () -> ()
+  | exception Sys_error msg -> exit_error ~cmd msg
 
 (* After the summaries are printed: exit 1 if any run (one, or every
    shard) fails a gate from its report's own list. *)
@@ -84,11 +109,7 @@ let exit_on_failed_gates cmd gates runs =
     List.iter (fun g -> Printf.eprintf "%s: FAIL %s\n" cmd (Obs.Gate.to_string g)) failed;
     exit 1
 
-let validate_or_exit ~cmd = function
-  | Ok () -> ()
-  | Error msg ->
-    Printf.eprintf "%s: %s\n" cmd msg;
-    exit 2
+let validate_or_exit ~cmd = function Ok () -> () | Error msg -> exit_error ~cmd msg
 
 (* The one way a scenario subcommand runs: refuse an invalid config
    (exit 2), run once or as [shards] seeded shards, print each summary
@@ -97,8 +118,9 @@ let validate_or_exit ~cmd = function
 let run_scenario (type c r) (module M : Fleet.Run.S with type config = c and type report = r) ~cmd
     ?(domains = 1) ?(shards = 1) ?metrics ?(print = fun r -> print_string (M.summary r)) config =
   validate_or_exit ~cmd (M.validate config);
+  Option.iter (check_writable ~cmd) metrics;
   let record = metrics <> None in
-  let write reg = Option.iter (fun path -> write_file path (Obs.Metrics.prometheus reg)) metrics in
+  let write reg = Option.iter (fun path -> write_file ~cmd path (Obs.Metrics.prometheus reg)) metrics in
   let reports =
     if shards = 1 then begin
       (* Only record device events when someone asked for the metrics
@@ -129,11 +151,12 @@ let run_telemetry (type c r) (module M : Fleet.Run.S with type config = c and ty
     ~(run_with : ?sink:Obs.sink -> ?domains:int -> c -> r * Fleet.Orchestrator.t) ~cmd ~domains ?metrics print
     config =
   validate_or_exit ~cmd (M.validate config);
+  Option.iter (check_writable ~cmd) metrics;
   let sink = if metrics = None then Obs.null else Obs.create () in
   let report, orch = run_with ~sink ~domains config in
   let telemetry = Fleet.Orchestrator.telemetry orch in
   print report telemetry;
-  Option.iter (fun path -> write_file path (Fleet.Telemetry.prometheus telemetry)) metrics;
+  Option.iter (fun path -> write_file ~cmd path (Fleet.Telemetry.prometheus telemetry)) metrics;
   exit_on_failed_gates cmd M.gates [| report |]
 
 let attacks_cmd =
@@ -148,9 +171,19 @@ let attacks_cmd =
     Term.(const run $ const ())
 
 let dos_cmd =
-  let epoch = Arg.(value & opt int 96 & info [ "epoch" ] ~doc:"Temporal partitioning epoch (cycles)") in
-  let dead = Arg.(value & opt int 16 & info [ "dead" ] ~doc:"Dead time at end of each epoch (cycles)") in
+  let epoch =
+    Arg.(value & opt (positive_int ~what:"EPOCH") 96 & info [ "epoch" ] ~doc:"Temporal partitioning epoch (cycles)")
+  in
+  let dead =
+    Arg.(value
+         & opt (int_in ~what:"DEAD" ~range:"a non-negative integer" (fun n -> n >= 0)) 16
+         & info [ "dead" ] ~doc:"Dead time at end of each epoch (cycles)")
+  in
   let run epoch dead =
+    if epoch - dead < Attacks.attacker_op_cost then
+      exit_error ~cmd:"dos"
+        (Printf.sprintf "--epoch minus --dead must leave room for one %d-cycle attacker op, got %d - %d"
+           Attacks.attacker_op_cost epoch dead);
     let show name (r : Attacks.dos_result) =
       Printf.printf "%-28s alone %10.0f pps, attacked %10.0f pps, retained %5.1f%%\n" name r.Attacks.alone_pps
         r.Attacks.under_attack_pps (100. *. r.Attacks.retained)
@@ -214,12 +247,16 @@ let nf_conv =
 
 let ipc_cmd =
   let l2 = Arg.(value & opt int (4 lsl 20) & info [ "l2" ] ~doc:"L2 size in bytes") in
-  let nfs = Arg.(value & opt int 4 & info [ "nfs" ] ~doc:"Co-tenancy degree (2-16)") in
+  let nfs = Arg.(value & opt cotenancy_int 4 & info [ "nfs" ] ~doc:"Co-tenancy degree (1-16)") in
   let nf_names =
     Arg.(value & opt_all nf_conv []
          & info [ "nf" ] ~docv:"NAME" ~doc:"Colocate exactly these NFs (repeatable); overrides $(b,--nfs)")
   in
   let run l2 nfs nf_names seed =
+    if List.length nf_names > Uarch.Cpu_model.max_domains then
+      exit_error ~cmd:"ipc"
+        (Printf.sprintf "at most %d --nf names (one per L2 way), got %d" Uarch.Cpu_model.max_domains
+           (List.length nf_names));
     let names =
       match nf_names with
       | [] ->
@@ -239,7 +276,9 @@ let ipc_cmd =
     Term.(const run $ l2 $ nfs $ nf_names $ seed_arg)
 
 let dpi_cmd =
-  let threads = Arg.(value & opt int 16 & info [ "threads" ] ~doc:"vDPI hardware threads") in
+  let threads =
+    Arg.(value & opt (positive_int ~what:"THREADS") 16 & info [ "threads" ] ~doc:"vDPI hardware threads")
+  in
   let frame = Arg.(value & opt int 1500 & info [ "frame" ] ~doc:"Frame size in bytes") in
   let run threads frame =
     Printf.printf "%d threads, %dB frames: %.3f Mpps\n" threads frame
@@ -298,8 +337,10 @@ let table6_cmd =
   Cmd.v (Cmd.info "table6" ~doc:"Table 6 NF memory profiles as CSV") Term.(const run $ const ())
 
 let fig5_cmd =
-  let cotenancy = Arg.(value & opt int 4 & info [ "nfs" ] ~doc:"Co-tenancy degree") in
-  let packets = Arg.(value & opt int 800 & info [ "packets" ] ~doc:"Packets per stream") in
+  let cotenancy = Arg.(value & opt cotenancy_int 4 & info [ "nfs" ] ~doc:"Co-tenancy degree (1-16)") in
+  let packets =
+    Arg.(value & opt (positive_int ~what:"PACKETS") 800 & info [ "packets" ] ~doc:"Packets per stream")
+  in
   let run cotenancy packets seed =
     print_endline "nf,cotenancy,median_pct,p1_pct,p99_pct";
     List.iter
@@ -503,13 +544,6 @@ let datapath_cmd =
        ~doc:"Quick probe of the bulk Physmem fast path vs the per-byte baseline (see bench --only datapath)")
     Term.(const run $ bytes $ seed_arg)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let oracle_cmd =
   let mode_enum = Arg.enum (List.map (fun m -> (Oracle.Campaign.mode_id m, m)) Oracle.Campaign.all_modes) in
   let mode =
@@ -580,12 +614,16 @@ let oracle_cmd =
         | _ -> ());
         exit 0
     end;
+    Option.iter (check_writable ~cmd:"oracle") dump;
     let mode, slots, ops_list, seed_used =
       match replay with
       | Some path -> (
-        match Oracle.Campaign.trace_of_string (read_file path) with
-        | Ok (m, s, trace) -> (m, s, trace, None)
-        | Error e -> fail (Printf.sprintf "oracle: %s: %s" path e))
+        match In_channel.with_open_bin path In_channel.input_all with
+        | exception Sys_error msg -> fail ("oracle: " ^ msg)
+        | text -> (
+          match Oracle.Campaign.trace_of_string text with
+          | Ok (m, s, trace) -> (m, s, trace, None)
+          | Error e -> fail (Printf.sprintf "oracle: %s: %s" path e)))
       | None -> (
         match mode with
         | None -> fail "oracle: --mode is required (or use --replay FILE)"
@@ -611,7 +649,7 @@ let oracle_cmd =
       end
     in
     (match dump with
-    | Some path -> write_file path (Oracle.Campaign.trace_to_string ~mode ~slots final_ops)
+    | Some path -> write_file ~cmd:"oracle" path (Oracle.Campaign.trace_to_string ~mode ~slots final_ops)
     | None -> ());
     match (expect, report.Oracle.Campaign.violations) with
     | Some `Clean, _ :: _ ->
@@ -758,6 +796,8 @@ let trace_cmd =
          & info [ "out" ] ~docv:"FILE" ~doc:"Chrome trace_event JSON output path (load it in ui.perfetto.dev)")
   in
   let run seed scenario out metrics =
+    check_writable ~cmd:"trace" out;
+    Option.iter (check_writable ~cmd:"trace") metrics;
     let sink = Obs.create () in
     let orch =
       match scenario with
@@ -782,9 +822,9 @@ let trace_cmd =
         print_string (Fleet.Scenario.summary report);
         orch
     in
-    write_file out (Obs.Chrome.to_json sink);
+    write_file ~cmd:"trace" out (Obs.Chrome.to_json sink);
     let telemetry = Fleet.Orchestrator.telemetry orch in
-    (match metrics with Some path -> write_file path (Fleet.Telemetry.prometheus telemetry) | None -> ());
+    Option.iter (fun path -> write_file ~cmd:"trace" path (Fleet.Telemetry.prometheus telemetry)) metrics;
     (* Self-check: the exported trace must agree with the registry's own
        accounting of itself before anyone loads it in a viewer. *)
     let events = Obs.events sink in

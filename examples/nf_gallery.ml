@@ -61,38 +61,6 @@ let () =
     (float_of_int (Nf.Lpm.table_bytes lpm) /. 1048576.)
     fwd drop;
 
-  (* WAN optimizer pair (the intro's motivating complex NF): compress on
-     the near end of the link, restore on the far end. *)
-  let comp = Nf.Wan_opt.create ~mode:Nf.Wan_opt.Compress () in
-  let decomp = Nf.Wan_opt.create ~mode:Nf.Wan_opt.Decompress () in
-  let pair = Snic.Chain.compose ~name:"wan" [ Nf.Wan_opt.nf comp; Nf.Wan_opt.nf decomp ] in
-  let intact = ref 0 in
-  Seq.iter
-    (fun p ->
-      match pair.Nf.Types.process p with
-      | Nf.Types.Forward out when String.equal out.Net.Packet.payload p.Net.Packet.payload -> incr intact
-      | _ -> ())
-    (Trace.Tracegen.packets (trace ()));
-  Printf.printf "WAN  compressed link carried %.1f%% fewer bytes; %d/%d payloads restored intact (%d passthrough)\n"
-    (100. *. Nf.Wan_opt.savings comp) !intact packets (Nf.Wan_opt.passthrough comp);
-
-  (* Count-min sketch: the Monitor's bounded-memory cousin. *)
-  let cm = Nf.Count_min.create ~width:8192 ~depth:4 in
-  let exact = Nf.Monitor.create () in
-  Seq.iter
-    (fun p ->
-      Nf.Count_min.observe cm (Net.Packet.flow p);
-      Nf.Monitor.observe exact p)
-    (Trace.Tracegen.packets (trace ()));
-  let worst_err =
-    List.fold_left
-      (fun acc (f, n) -> max acc (Nf.Count_min.estimate cm f - n))
-      0 (Nf.Monitor.top exact 50)
-  in
-  Printf.printf "CM   count-min in %d KB fixed memory: worst over-estimate on the top-50 flows = %d packets\n"
-    (Nf.Count_min.memory_bytes cm / 1024)
-    worst_err;
-
   (* Monitor: per-flow packet counters; show the Zipf head. *)
   let mon = Nf.Monitor.create () in
   let _ = run_counts (Nf.Monitor.nf mon) in

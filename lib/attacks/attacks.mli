@@ -48,6 +48,11 @@ type dos_result = {
 
 val bus_dos : Nicsim.Bus.policy -> dos_result
 
+(** Bus cycles one attacker op occupies.  A [Temporal] policy runs
+    {!bus_dos} only if its usable epoch ([epoch - dead]) is at least
+    this long. *)
+val attacker_op_cost : int
+
 (** {2 Attack 4 — accelerator hijacking (§4.3)}
 
     The victim registers its DPI rule graph by writing the graph pointer

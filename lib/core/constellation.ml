@@ -78,4 +78,3 @@ let recv ch ~at ciphertext =
     ch.next_recv.(from) <- Int64.add seq 1L;
     Ok pt
 
-let channel_key ch = ch.key

@@ -49,5 +49,3 @@ val send : channel -> from:int -> string -> string
 
 val recv : channel -> at:int -> string -> (string, string) result
 
-(** The shared key (for tests). *)
-val channel_key : channel -> string

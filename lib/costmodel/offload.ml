@@ -27,19 +27,16 @@ let smartnic =
     core_tco_usd = Tco.tco_per_core Tco.liquidio;
   }
 
-let snic ?(ipc_degradation_pct = 1.7) ?tco_overhead_pct () =
-  let tco =
-    match tco_overhead_pct with
-    | Some _ -> Tco.tco_per_core (Tco.snic_variant ?area_overhead_pct:tco_overhead_pct ?power_overhead_pct:tco_overhead_pct Tco.liquidio)
-    | None -> Tco.tco_per_core (Tco.snic_variant Tco.liquidio)
-  in
+(* The isolation tax: the paper's worst-case 1.7% IPC degradation shows
+   up as extra cycles per packet, and the §5.2 area/power overheads as
+   a higher per-core TCO. *)
+let snic =
   {
     name = "S-NIC core";
     core_ghz = 1.2;
-    (* IPC degradation shows up as extra cycles per packet. *)
-    cycles_per_packet = 800. *. (1. +. (ipc_degradation_pct /. 100.));
+    cycles_per_packet = 800. *. (1. +. (1.7 /. 100.));
     pcie_ns_each_way = 0.;
-    core_tco_usd = tco;
+    core_tco_usd = Tco.tco_per_core (Tco.snic_variant Tco.liquidio);
   }
 
 type result = { deployment : string; latency_ns : float; kpps_per_core : float; usd_per_mpps : float }
@@ -51,4 +48,4 @@ let evaluate d =
   let pps = 1e9 /. compute_ns in
   { deployment = d.name; latency_ns; kpps_per_core = pps /. 1e3; usd_per_mpps = d.core_tco_usd /. (pps /. 1e6) }
 
-let comparison () = List.map evaluate [ host_x86; smartnic; snic () ]
+let comparison () = List.map evaluate [ host_x86; smartnic; snic ]

@@ -22,10 +22,9 @@ type deployment = {
 val host_x86 : deployment
 val smartnic : deployment
 
-(** [snic ?ipc_degradation_pct ?tco_overhead_pct ()] derives the S-NIC
-    deployment from [smartnic] (defaults: the paper's worst-case 1.7%
-    and the §5.2 TCO numbers). *)
-val snic : ?ipc_degradation_pct:float -> ?tco_overhead_pct:float -> unit -> deployment
+(** [smartnic] plus the isolation tax: the paper's worst-case 1.7% IPC
+    degradation and the §5.2 TCO overheads. *)
+val snic : deployment
 
 type result = {
   deployment : string;

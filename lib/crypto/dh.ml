@@ -48,4 +48,3 @@ let shared_key ~secret ~peer =
   let z = shared ~secret ~peer in
   Sha256.digest (element_bytes secret.group z)
 
-let group_of_secret s = s.group

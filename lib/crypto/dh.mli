@@ -27,5 +27,3 @@ val shared_key : secret:secret -> peer:public -> string
 (** Serialize a group element as fixed-width big-endian bytes for hashing
     and signing. *)
 val element_bytes : group -> Bigint.t -> string
-
-val group_of_secret : secret -> group

@@ -31,8 +31,6 @@ let create ?(sink = Obs.null) stages ~links =
   { c_stages = stages; c_links = links; c_hops = 0; c_ts = 0; c_sink = sink }
 
 let stages t = Array.length t.c_stages
-let stage_nic t i = t.c_stages.(i).st_nic
-let stage_name t i = t.c_stages.(i).st_name
 let hop_count t = t.c_hops
 
 let sum_links t f = Array.fold_left (fun acc (_, rx) -> acc + f rx) 0 t.c_links

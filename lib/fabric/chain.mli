@@ -26,8 +26,6 @@ type t
 val create : ?sink:Obs.sink -> stage list -> links:(Channel.tx * Channel.rx) list -> t
 
 val stages : t -> int
-val stage_nic : t -> int -> int
-val stage_name : t -> int -> string
 
 (** Frames that crossed an inter-NIC link so far (all hops). *)
 val hop_count : t -> int

@@ -8,7 +8,6 @@ type shape = {
   cluster_size : int;
   page_menu : int list;
   tlb_budget_per_core : int;
-  vf_slots : int;
 }
 
 (* Small NICs carry Equal-2MB TLBs with fewer locked entries than a
@@ -23,7 +22,6 @@ let small =
     cluster_size = 8;
     page_menu = Costmodel.Page_packing.equal_2mb;
     tlb_budget_per_core = 96;
-    vf_slots = 256;
   }
 
 let medium =
@@ -35,7 +33,6 @@ let medium =
     cluster_size = 8;
     page_menu = Costmodel.Page_packing.flex_low;
     tlb_budget_per_core = 64;
-    vf_slots = 512;
   }
 
 let large =
@@ -47,7 +44,6 @@ let large =
     cluster_size = 16;
     page_menu = Costmodel.Page_packing.flex_high;
     tlb_budget_per_core = 32;
-    vf_slots = 1024;
   }
 
 let shape_of_index i = match i mod 4 with 0 -> small | 1 -> medium | 2 -> large | _ -> medium
@@ -61,7 +57,6 @@ type t = {
   mutable quarantined : bool;
   mutable committed_bytes : int;
   mutable nf_count : int;
-  mutable vf_used : int;
 }
 
 let machine_config shape =
@@ -87,7 +82,7 @@ let boot ?identity_seed ~vendor ~id shape =
      interchangeable across the rack. *)
   let identity_seed = match identity_seed with Some s -> s | None -> 0x51C + (7919 * (id + 1)) in
   let api = Snic.Api.boot_with ~vendor ~serial ~identity_seed (machine_config shape) in
-  { id; serial; shape; api; alive = true; quarantined = false; committed_bytes = 0; nf_count = 0; vf_used = 0 }
+  { id; serial; shape; api; alive = true; quarantined = false; committed_bytes = 0; nf_count = 0 }
 
 let id t = t.id
 let api t = t.api
@@ -122,16 +117,3 @@ let commit t (d : Workload.demand) =
 let release t (d : Workload.demand) =
   t.committed_bytes <- max 0 (t.committed_bytes - d.Workload.mem_bytes);
   t.nf_count <- max 0 (t.nf_count - 1)
-
-let vf_slots t = t.shape.vf_slots
-let vf_used t = t.vf_used
-let vf_headroom t = t.shape.vf_slots - t.vf_used
-
-let attach_vf t =
-  if t.alive && (not t.quarantined) && vf_headroom t > 0 then begin
-    t.vf_used <- t.vf_used + 1;
-    true
-  end
-  else false
-
-let release_vf t = t.vf_used <- max 0 (t.vf_used - 1)

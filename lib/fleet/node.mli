@@ -17,7 +17,6 @@ type shape = {
   cluster_size : int; (* hardware threads per cluster *)
   page_menu : int list; (* page sizes the locked TLBs support *)
   tlb_budget_per_core : int; (* locked entries per core TLB *)
-  vf_slots : int; (* SR-IOV virtual functions the NIC exposes *)
 }
 
 val small : shape
@@ -79,19 +78,3 @@ val entries_for : t -> Workload.demand -> int
 
 val commit : t -> Workload.demand -> unit
 val release : t -> Workload.demand -> unit
-
-(** {2 Virtual-function slot accounting}
-
-    Tenant vNICs consume VF slots ([shape.vf_slots]: 256 on small NICs,
-    512 on medium, 1024 on large); {!Vfplace} packs a rack's worth of
-    vNICs against these capacities. *)
-
-val vf_slots : t -> int
-val vf_used : t -> int
-val vf_headroom : t -> int
-
-(** Claim one VF slot; [false] when the node is dead, quarantined, or
-    out of slots. *)
-val attach_vf : t -> bool
-
-val release_vf : t -> unit

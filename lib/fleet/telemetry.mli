@@ -94,8 +94,6 @@ val tenant_readmissions : t -> int
 val slo_violations : t -> int
 
 val total_attests : t -> int
-val total_forwarded : t -> int
-val total_dropped : t -> int
 
 (** {2 Export} *)
 

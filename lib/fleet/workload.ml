@@ -12,18 +12,6 @@ let kind_name = function
   | Ckf -> "CKF"
   | Synp -> "SYNP"
 
-let kind_of_string s =
-  match String.uppercase_ascii s with
-  | "FW" -> Ok Fw
-  | "DPI" -> Ok Dpi
-  | "NAT" -> Ok Nat
-  | "LB" -> Ok Lb
-  | "LPM" -> Ok Lpm
-  | "MON" -> Ok Mon
-  | "CKF" -> Ok Ckf
-  | "SYNP" -> Ok Synp
-  | _ -> Error (Printf.sprintf "unknown NF kind %S (want FW|DPI|NAT|LB|LPM|Mon|CKF|SYNP)" s)
-
 let profile k = Memprof.Profiles.find (kind_name k)
 
 type demand = {

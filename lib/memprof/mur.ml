@@ -7,7 +7,6 @@ let mbf bytes = float_of_int bytes /. (1024. *. 1024.)
    bookkeeping; Monitor entries are a 5-tuple key plus a counter. *)
 let nat_entry_bytes = 194
 let nat_base_mb = 4.0
-let mon_entry_bytes = 113
 
 let fixed p = p.Profiles.text_mb +. p.Profiles.data_mb +. p.Profiles.code_mb
 

@@ -23,4 +23,3 @@ val find : string -> row
 val nat_entry_bytes : int
 
 val nat_base_mb : float
-val mon_entry_bytes : int

@@ -14,19 +14,11 @@ type point = {
   prealloc_mb : float; (* the fixed S-NIC reservation (flat line) *)
 }
 
-(** Default parameters calibrated to the paper's Monitor numbers:
-    1.8 M flows over 150 s, 113-byte table entries, 14.9 MB of steady DPDK
-    base, and a startup staging copy. *)
-val monitor :
-  ?duration_s:float ->
-  ?flows_per_sec:int ->
-  ?entry_bytes:int ->
-  ?base_mb:float ->
-  ?init_staging_mb:float ->
-  ?fixed_mb:float ->
-  ?samples:int ->
-  unit ->
-  point list
+(** [monitor ?samples ()] is the series at [samples] (default 150)
+    points over the run, calibrated to the paper's Monitor numbers:
+    1.8 M flows over 150 s, 113-byte table entries, 14.9 MB of steady
+    DPDK base, and a startup staging copy. *)
+val monitor : ?samples:int -> unit -> point list
 
 (** Convenience inspection. *)
 val peak_mb : point list -> float

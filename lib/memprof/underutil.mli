@@ -17,9 +17,9 @@ val policy_name : policy -> string
 
 type point = { t_h : float; demand_mb : float; provisioned_mb : float }
 
-(** [simulate ?hours ?peak_mb ?samples_per_hour policy] runs the diurnal
-    curve (30% base load, peak at 18:00). *)
-val simulate : ?hours:float -> ?peak_mb:float -> ?samples_per_hour:int -> policy -> point list
+(** [simulate policy] runs one day of a 360 MB-peak diurnal curve (30%
+    base load, peak at 18:00), sampled every 15 minutes. *)
+val simulate : policy -> point list
 
 (** Mean of demand/provisioned over the series. *)
 val avg_utilization : point list -> float

@@ -1,8 +1,8 @@
 (* Partial-key cuckoo filter (Fan et al., CoNEXT'14) — the fixed-memory
-   flow set behind the CuckooGuard split proxy.  Like [Count_min], all
-   memory is allocated at creation, so an S-NIC preallocation is never
-   outgrown (§4.8 fixed-reservation model): a full filter rejects
-   inserts instead of growing. *)
+   flow set behind the CuckooGuard split proxy.  All memory is allocated
+   at creation, so an S-NIC preallocation is never outgrown (§4.8
+   fixed-reservation model): a full filter rejects inserts instead of
+   growing. *)
 
 let slots_per_bucket = 4
 let max_kicks = 500
@@ -167,4 +167,3 @@ let nf (st : nf_state) =
   }
 
 let nf_filter st = st.filter
-let nf_packets st = st.packets

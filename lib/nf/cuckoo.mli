@@ -1,8 +1,8 @@
 (** Partial-key cuckoo filter (Fan et al., CoNEXT'14): an approximate
     flow set with fixed memory — the whitelist behind the CuckooGuard
-    SYN proxy.  Like {!Count_min}, all memory is allocated at creation
-    so an S-NIC preallocation is never outgrown (§4.8 fixed-reservation
-    model): a saturated filter rejects inserts instead of growing.
+    SYN proxy.  All memory is allocated at creation so an S-NIC
+    preallocation is never outgrown (§4.8 fixed-reservation model): a
+    saturated filter rejects inserts instead of growing.
 
     False positives are possible (two flows sharing a fingerprint and a
     bucket pair); false negatives are not, except after a rejected
@@ -59,4 +59,3 @@ val nf_create :
 val nf : nf_state -> Types.t
 
 val nf_filter : nf_state -> t
-val nf_packets : nf_state -> int

@@ -126,7 +126,6 @@ let flush_domain t d =
     t.lines
 
 let stats t ~domain = t.per_domain.(domain)
-let size_bytes t = t.sets * t.ways * (1 lsl t.line_bits)
 let mode t = t.mode
 
 let occupancy t ~domain =

@@ -46,7 +46,6 @@ val flush_domain : t -> int -> unit
 type stats = { hits : int; misses : int; evicted_by_others : int }
 
 val stats : t -> domain:int -> stats
-val size_bytes : t -> int
 val mode : t -> mode
 
 (** Ways usable by a domain for fills, as [(lo, hi)] exclusive. *)

@@ -44,7 +44,6 @@ type t = {
   dma : Dma.t;
   mutable faults : Faults.t option;
   mutable sink : Obs.sink;
-  mutable qos : Qos.t option;
 }
 
 let default_config ~mode =
@@ -100,7 +99,6 @@ let create config =
     dma = Dma.create ~nic_mem:mem ~host_mem ~banks:config.cores;
     faults = None;
     sink = Obs.null;
-    qos = None;
   }
 
 (* One plan per machine: every device draws from the same seeded stream,
@@ -117,8 +115,8 @@ let faults t = t.faults
 (* Fixed track map within one machine's process lane (see
    OBSERVABILITY.md): 0 control plane, 1 L2, 2+core the core TLBs,
    100+client the bus, 200+bank the DMA banks, 300+ai*64+thread the
-   accelerator threads, 900 the packet schedulers, 910 packet IO,
-   920-922 the QoS arbiter's per-resource throttle lanes. *)
+   accelerator threads, 900 the packet schedulers, 910 packet IO.  The
+   QoS scenario's arbiter records on 920-922. *)
 let track_ctrl = 0
 let track_l2 = 1
 let track_core_tlb core = 2 + core
@@ -127,7 +125,6 @@ let track_dma_base = 200
 let track_accel_base ai = 300 + (ai * 64)
 let track_sched = 900
 let track_pktio = 910
-let track_qos_base = 920
 
 (* Like [set_faults], one sink per machine: every device records into the
    same stream, each on its own track. *)
@@ -152,20 +149,9 @@ let set_sink t sink =
     (fun core tlb ->
       Tlb.set_sink tlb sink ~track:(track_core_tlb core);
       Obs.name_track sink ~track:(track_core_tlb core) (Printf.sprintf "core%d-tlb" core))
-    t.core_tlbs;
-  match t.qos with Some q -> Qos.set_sink q sink ~track_base:track_qos_base | None -> ()
+    t.core_tlbs
 
 let sink t = t.sink
-
-(* The QoS arbiter is opt-in: fleets attach one per NIC and route the
-   tenant datapath through the Qos fronting wrappers; the bare machine
-   stays credit-free so the isolation oracle's alphabet is unchanged
-   unless a campaign asks for credits. *)
-let set_qos t q =
-  t.qos <- Some q;
-  if not (Obs.is_null t.sink) then Qos.set_sink q t.sink ~track_base:track_qos_base
-
-let qos t = t.qos
 
 let mode t = t.config.mode
 let mem t = t.mem
@@ -235,7 +221,6 @@ let os_denied t addr =
 (* Read-only introspection for external checkers: ground truth, no
    policy, no mutation. *)
 let page_owner t addr = Physmem.owner_of t.mem addr
-let secure_page t addr = is_secure t addr
 let tlb_entries t ~core = Tlb.entries t.core_tlbs.(core)
 
 type addressing = Virt of { core : int; vaddr : int } | Phys of int

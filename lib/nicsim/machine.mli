@@ -70,16 +70,6 @@ val sink : t -> Obs.sink
 (** Track number of the control-plane (API) span lane. *)
 val track_ctrl : int
 
-(** [set_qos t q] attaches a per-tenant credit arbiter (see {!Qos}) to
-    this NIC and routes it to the machine's sink on the QoS tracks.
-    Opt-in: the bare machine never consults it — fleets and scenarios
-    route tenant traffic through the [Qos] fronting wrappers, so the
-    security-isolation semantics of the raw device API are unchanged. *)
-val set_qos : t -> Qos.t -> unit
-
-val qos : t -> Qos.t option
-(** The attached arbiter, if any. *)
-
 val mode : t -> mode
 val mem : t -> Physmem.t
 val cores : t -> int
@@ -130,9 +120,6 @@ val os_denied : t -> int -> bool
 
 (** Owner of the 4 KB page containing a physical address. *)
 val page_owner : t -> int -> Physmem.owner
-
-(** BlueField: is the page containing this address secure-world memory? *)
-val secure_page : t -> int -> bool
 
 (** Snapshot of a core TLB's installed entries (most recent first). *)
 val tlb_entries : t -> core:int -> Tlb.entry list

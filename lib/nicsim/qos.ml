@@ -224,7 +224,6 @@ let admit t ~tenant ~resource ~cost ~now =
     else refuse t ts ~tenant ~resource ~now
   end
 
-let current_epoch t = t.epoch_idx
 let epoch_granted t ~resource = t.used_total.(rix resource)
 let epoch_slack t ~resource = t.slack.(rix resource)
 
@@ -292,21 +291,3 @@ let accel_cost accel ~bytes =
   let kind = Accel.kind accel in
   Accel.overhead_cycles kind
   + int_of_float (ceil (float_of_int bytes *. Accel.cycles_per_byte kind))
-
-let accel_submit t ~accel ~tenant ~cluster ~now ~bytes =
-  match admit t ~tenant ~resource:Accel ~cost:(accel_cost accel ~bytes) ~now with
-  | Throttled thr -> Error thr
-  | Granted ->
-    let completion = Accel.submit accel ~cluster ~now ~bytes in
-    note_latency t ~tenant ~cycles:(completion - now);
-    Ok completion
-
-let accel_stream t ~accel ~tenant ~cluster ~now ~mem ~src ~src_len ~dst ~f =
-  match admit t ~tenant ~resource:Accel ~cost:(accel_cost accel ~bytes:src_len) ~now with
-  | Throttled thr -> Error thr
-  | Granted ->
-    let res = Accel.stream accel ~cluster ~now ~mem ~src ~src_len ~dst ~f in
-    (match res with
-    | Ok (_, completion) -> note_latency t ~tenant ~cycles:(completion - now)
-    | Error _ -> ());
-    Ok res

@@ -103,9 +103,6 @@ val admit : t -> tenant:int -> resource:resource -> cost:int -> now:int -> verdi
     across calls.  Raises [Invalid_argument] for an unregistered
     tenant or a non-positive cost. *)
 
-val current_epoch : t -> int
-(** Index of the epoch the arbiter last rolled to. *)
-
 val epoch_granted : t -> resource:resource -> int
 (** Credits granted on [resource] so far in the current epoch (the
     conservation property bounds this by capacity + donated slack). *)
@@ -141,28 +138,10 @@ val dma_transfer :
 (** Charge [len] byte credits; on grant, [Dma.transfer].  DMA has no
     completion clock, so no latency sample is taken here. *)
 
-val accel_submit :
-  t -> accel:Accel.t -> tenant:int -> cluster:int -> now:int -> bytes:int -> (int, throttle) result
-(** Charge the modeled service cost (kind overhead + per-byte cycles)
-    in accel credits; on grant, [Accel.submit] and a latency sample. *)
-
-val accel_stream :
-  t ->
-  accel:Accel.t ->
-  tenant:int ->
-  cluster:int ->
-  now:int ->
-  mem:Physmem.t ->
-  src:int ->
-  src_len:int ->
-  dst:int ->
-  f:(string -> string) ->
-  ((int * int, Accel.stream_error) result, throttle) result
-(** Charge the stream's service cost on [src_len]; on grant,
-    [Accel.stream] and a latency sample on success. *)
-
 val accel_cost : Accel.t -> bytes:int -> int
-(** The accel credit cost the wrappers charge for [bytes]. *)
+(** The accel credit cost of a [bytes]-byte request: the modeled
+    service time (kind overhead + per-byte cycles), charged through
+    {!admit}. *)
 
 (* ------------------------------------------------------------------ *)
 (** {2 Latency and SLO accounting} *)

@@ -53,17 +53,12 @@ let weighted_report entries =
   { rows; index; max_rel_err }
 
 (* Latency fairness: latency is lower-is-better, so we score the
-   *service rate* 1/p99 — equal tail latencies give index 1, one tenant
-   stuck behind a noisy neighbor drags it toward 1/n.  The weighted
-   variant expects a weight-w tenant to see a tail ~w times shorter
-   (gap ∝ 1/weight under weighted round-robin), i.e. rate/weight equal
-   across tenants — exactly weighted_report over (id, 1/p99, weight). *)
-
-let inv_latency p = if p > 0. then 1. /. p else 0.
-let latency_jain p99s = jain (List.map inv_latency p99s)
-
+   *service rate* 1/p99.  A weight-w tenant is expected to see a tail ~w
+   times shorter (gap ∝ 1/weight under weighted round-robin), i.e.
+   rate/weight equal across tenants — exactly weighted_report over
+   (id, 1/p99, weight). *)
 let latency_weighted_report entries =
-  weighted_report (List.map (fun (id, p99, w) -> (id, inv_latency p99, w)) entries)
+  weighted_report (List.map (fun (id, p99, w) -> (id, (if p99 > 0. then 1. /. p99 else 0.), w)) entries)
 
 let summary r =
   let b = Buffer.create 256 in

@@ -33,30 +33,20 @@ let gen_ops ?(fabric = false) ~slots ~ops ~seed () =
   let rng = Trace.Rng.create ~seed in
   List.init ops (fun _ -> Op.gen ~fabric rng ~slots)
 
-let gen_ops_array ?fabric ~slots ~ops ~seed () = Array.of_list (gen_ops ?fabric ~slots ~ops ~seed ())
-
-(* One harness bounds check per 512 ops instead of one list cell per op;
-   the interpretation itself is unchanged (Harness.step_batch is step in
-   a loop), so reports are byte-identical to the per-op path. *)
-let batch_size = 512
-
-let replay_array ?(slots = default_slots) ~mode ops =
+let replay ?(slots = default_slots) ~mode ops =
   let h = Harness.create ~mode ~slots in
-  Par.Batch.iter_slices ~batch:batch_size ~len:(Array.length ops) (fun ~pos ~len ->
-      Harness.step_batch h ops ~pos ~len);
+  List.iter (Harness.step h) ops;
   {
     mode;
     seed = None;
-    ops = Array.length ops;
+    ops = List.length ops;
     executed = Harness.executed h;
     skipped = Harness.skipped h;
     violations = Harness.violations h;
   }
 
-let replay ?slots ~mode ops = replay_array ?slots ~mode (Array.of_list ops)
-
 let run ?(slots = default_slots) ?fabric ~mode ~ops ~seed () =
-  let r = replay_array ~slots ~mode (gen_ops_array ?fabric ~slots ~ops ~seed ()) in
+  let r = replay ~slots ~mode (gen_ops ?fabric ~slots ~ops ~seed ()) in
   { r with seed = Some seed }
 
 let run_sharded ?domains ?(slots = default_slots) ?fabric ~mode ~ops ~seed ~shards () =

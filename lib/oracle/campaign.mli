@@ -35,19 +35,9 @@ val default_slots : int
     valid. *)
 val gen_ops : ?fabric:bool -> slots:int -> ops:int -> seed:int -> unit -> Op.t list
 
-(** [gen_ops_array] is {!gen_ops} as an array — the form the batched
-    interpreter consumes. *)
-val gen_ops_array : ?fabric:bool -> slots:int -> ops:int -> seed:int -> unit -> Op.t array
-
 (** [replay ?slots ~mode ops] runs an explicit op list on a fresh
     harness. *)
 val replay : ?slots:int -> mode:Nicsim.Machine.mode -> Op.t list -> report
-
-(** [replay_array] is {!replay} over an op array, interpreted in
-    512-op chunks through {!Harness.step_batch}.  Same semantics, same
-    report, less dispatch overhead — {!replay} and {!run} both route
-    through it. *)
-val replay_array : ?slots:int -> mode:Nicsim.Machine.mode -> Op.t array -> report
 
 (** [run ?slots ?fabric ~mode ~ops ~seed ()] = [gen_ops] + [replay],
     with [seed] recorded in the report. *)

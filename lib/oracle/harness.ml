@@ -782,13 +782,3 @@ let step t op =
   let idx = t.step_no in
   t.step_no <- idx + 1;
   if exec t idx op then t.executed <- t.executed + 1 else t.skipped <- t.skipped + 1
-
-(* Chunked interpretation: one bounds check per slice, then a tight loop
-   over the array — the batched dispatch path [Campaign.replay_array]
-   drives.  Equivalent to [step] per element, in order. *)
-let step_batch t ops ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Array.length ops then
-    invalid_arg "Harness.step_batch: slice out of bounds";
-  for i = pos to pos + len - 1 do
-    step t (Array.unsafe_get ops i)
-  done

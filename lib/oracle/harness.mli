@@ -29,14 +29,6 @@ val slots : t -> int
 (** Execute one op; any violations it provokes are appended. *)
 val step : t -> Op.t -> unit
 
-(** [step_batch t ops ~pos ~len] interprets the slice
-    [ops.(pos) .. ops.(pos + len - 1)] in order — semantically identical
-    to [len] calls of {!step}, but the dispatch loop is chunked so the
-    campaign driver amortizes per-op overhead ([Par.Batch.iter_slices]
-    picks the slice boundaries).  Raises [Invalid_argument] when the
-    slice falls outside [ops]. *)
-val step_batch : t -> Op.t array -> pos:int -> len:int -> unit
-
 (** Ops that actually ran / were skipped as inapplicable. *)
 val executed : t -> int
 

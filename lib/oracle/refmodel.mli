@@ -42,7 +42,6 @@ type cls =
   | Model_mismatch (* machine and reference model disagreed *)
 
 val cls_to_string : cls -> string
-val cls_of_string : string -> cls option
 val all_classes : cls list
 
 (** [ideal_breach ~who ~owner ~write] classifies a *permitted* access

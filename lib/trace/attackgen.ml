@@ -1,8 +1,8 @@
-(* Seeded adversarial traffic: SYN floods, spoofed-source storms,
-   elephant/mice mixes and flash crowds.  Generators stream events
-   through a callback so millions-of-flows scale never materializes an
-   array of packets; everything is a pure function of the Rng, so the
-   same seed replays the same attack byte for byte. *)
+(* Seeded adversarial traffic: a spoofed SYN flood against one victim
+   service.  The generator streams events through a callback so
+   millions-of-flows scale never materializes an array of packets;
+   everything is a pure function of the Rng, so the same seed replays
+   the same attack byte for byte. *)
 
 type kind = Syn | Ack | Data
 
@@ -91,52 +91,6 @@ let syn_flood rng ~benign_flows ~attack_factor ~packets_per_flow ~f =
     benign;
   for _ = 1 to packets_per_flow do
     Array.iter (fun ft -> shadowed Data ft (data_size rng)) benign
-  done
-
-let spoofed_storm rng ~sources ~f =
-  (* One packet per spoofed source, at whatever scale the caller asks
-     (10^6+): this leans directly on [Flowgen.flows]'s bounded-retry
-     distinctness.  TCP tuples arrive as handshake-less SYNs, UDP ones
-     as bare datagrams — a mixed volumetric storm. *)
-  let tuples = Flowgen.flows rng ~n:sources in
-  Array.iter
-    (fun (ft : Net.Five_tuple.t) ->
-      if ft.proto = 6 then f { kind = Syn; flow = ft; benign = false; size = 64 }
-      else f { kind = Data; flow = ft; benign = false; size = data_size rng })
-    tuples
-
-let elephant_mice rng ~elephants ~mice ~elephant_pkts ~mouse_pkts ~f =
-  let tuples = client_tuples rng ~n:(elephants + mice) ~spoofed:false in
-  Array.iteri
-    (fun i ft ->
-      let is_elephant = i < elephants in
-      let pkts = if is_elephant then elephant_pkts else mouse_pkts in
-      f { kind = Syn; flow = ft; benign = true; size = 64 };
-      f { kind = Ack; flow = ft; benign = true; size = 64 };
-      for _ = 1 to pkts do
-        let size = if is_elephant then 1500 else Rng.pick rng [| 64; 512 |] in
-        f { kind = Data; flow = ft; benign = true; size }
-      done)
-    tuples
-
-let flash_crowd rng ~flows ~steps ~f =
-  (* Legitimate-but-sudden load: arrivals ramp linearly (step s carries
-     a share proportional to s), every flow completing a real handshake
-     before one request — the case a defense must NOT throttle. *)
-  let tuples = client_tuples rng ~n:flows ~spoofed:false in
-  let weight_sum = steps * (steps + 1) / 2 in
-  let idx = ref 0 in
-  for s = 1 to steps do
-    let quota = if s = steps then flows - !idx else flows * s / weight_sum in
-    for _ = 1 to quota do
-      if !idx < flows then begin
-        let ft = tuples.(!idx) in
-        incr idx;
-        f { kind = Syn; flow = ft; benign = true; size = 64 };
-        f { kind = Ack; flow = ft; benign = true; size = 64 };
-        f { kind = Data; flow = ft; benign = true; size = data_size rng }
-      end
-    done
   done
 
 (* ------------------------------------------------------------------ *)

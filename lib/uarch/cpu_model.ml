@@ -1,31 +1,18 @@
 open Nicsim
 
-type params = {
-  l1_bytes : int;
-  l1_ways : int;
-  line_bits : int;
-  l2_ways : int;
-  l2_hit_cycles : int;
-  dram_cycles : int;
-  bus_cost : int;
-  epoch : int;
-  dead : int;
-}
-
 (* Matched to the Marvell configuration the paper copies into gem5
    (1.2 GHz cores, 32 KB L1, 16-way L2) with a DDR3-style main memory. *)
-let default_params =
-  {
-    l1_bytes = 32 * 1024;
-    l1_ways = 4;
-    line_bits = 6;
-    l2_ways = 16;
-    l2_hit_cycles = 12;
-    dram_cycles = 80;
-    bus_cost = 8;
-    epoch = 12;
-    dead = 2;
-  }
+let l1_bytes = 32 * 1024
+let l1_ways = 4
+let line_bits = 6
+let l2_ways = 16
+let l2_hit_cycles = 12
+let dram_cycles = 80 (* latency after the bus transfer completes *)
+let bus_cost = 8 (* bus occupancy of one line fill *)
+
+(* Temporal-partitioning epoch and dead time (the S-NIC bus config). *)
+let epoch = 12
+let dead = 2
 
 type isolation = Baseline | Snic | Cache_only | Bus_only
 
@@ -39,18 +26,18 @@ type domain_result = {
 }
 
 let default_horizon = 2_000_000
+let max_domains = l2_ways
 
-let run ?(params = default_params) ?(horizon = default_horizon) ~l2_bytes ~isolation streams =
+let run ?(horizon = default_horizon) ~l2_bytes ~isolation streams =
   let n = Array.length streams in
   if n = 0 then invalid_arg "Cpu_model.run: no streams";
-  let line = 1 lsl params.line_bits in
+  let line = 1 lsl line_bits in
   let l1 () =
-    Cache.create ~sets:(params.l1_bytes / line / params.l1_ways) ~ways:params.l1_ways ~line_bits:params.line_bits
-      ~mode:Cache.Shared ~domains:1
+    Cache.create ~sets:(l1_bytes / line / l1_ways) ~ways:l1_ways ~line_bits ~mode:Cache.Shared ~domains:1
   in
-  let l2_sets = max 1 (l2_bytes / line / params.l2_ways) in
+  let l2_sets = max 1 (l2_bytes / line / l2_ways) in
   let l2 =
-    Cache.create ~sets:l2_sets ~ways:params.l2_ways ~line_bits:params.line_bits
+    Cache.create ~sets:l2_sets ~ways:l2_ways ~line_bits
       ~mode:(match isolation with Baseline | Bus_only -> Cache.Shared | Snic | Cache_only -> Cache.Hard)
       ~domains:n
   in
@@ -59,7 +46,7 @@ let run ?(params = default_params) ?(horizon = default_horizon) ~l2_bytes ~isola
       ~policy:
         (match isolation with
         | Baseline | Cache_only -> Bus.Free_for_all
-        | Snic | Bus_only -> Bus.Temporal { epoch = params.epoch; dead = params.dead })
+        | Snic | Bus_only -> Bus.Temporal { epoch; dead })
       ~clients:n
   in
   let l1s = Array.init n (fun _ -> l1 ()) in
@@ -87,13 +74,13 @@ let run ?(params = default_params) ?(horizon = default_horizon) ~l2_bytes ~isola
     | Cache.Hit -> ()
     | Cache.Miss -> begin
       l1_miss.(d) <- l1_miss.(d) + 1;
-      clock.(d) <- clock.(d) + params.l2_hit_cycles;
+      clock.(d) <- clock.(d) + l2_hit_cycles;
       match Cache.access l2 ~domain:d ~addr with
       | Cache.Hit -> ()
       | Cache.Miss ->
         l2_miss.(d) <- l2_miss.(d) + 1;
-        let done_at = Bus.request bus ~client:d ~now:clock.(d) ~cost:params.bus_cost in
-        clock.(d) <- done_at + params.dram_cycles
+        let done_at = Bus.request bus ~client:d ~now:clock.(d) ~cost:bus_cost in
+        clock.(d) <- done_at + dram_cycles
     end);
     accesses.(d) <- accesses.(d) + 1;
     idx.(d) <- (idx.(d) + 1) mod Array.length stream.Workload.addrs;
@@ -113,8 +100,8 @@ let run ?(params = default_params) ?(horizon = default_horizon) ~l2_bytes ~isola
         l2_miss_rate = float_of_int l2_miss.(d) /. float_of_int (max 1 l1_miss.(d));
       })
 
-let degradation ?params ?horizon ~l2_bytes streams =
-  let base = run ?params ?horizon ~l2_bytes ~isolation:Baseline streams in
-  let snic = run ?params ?horizon ~l2_bytes ~isolation:Snic streams in
+let degradation ?horizon ~l2_bytes streams =
+  let base = run ?horizon ~l2_bytes ~isolation:Baseline streams in
+  let snic = run ?horizon ~l2_bytes ~isolation:Snic streams in
   Array.init (Array.length streams) (fun d ->
       (base.(d).nf, 100. *. (1. -. (snic.(d).ipc /. base.(d).ipc))))

@@ -8,20 +8,6 @@
     free-for-all bus) at identical co-tenancy. Domains advance in global
     time order, so bus contention is order-faithful. *)
 
-type params = {
-  l1_bytes : int;
-  l1_ways : int;
-  line_bits : int;
-  l2_ways : int;
-  l2_hit_cycles : int;
-  dram_cycles : int; (* latency after the bus transfer completes *)
-  bus_cost : int; (* bus occupancy of one line fill *)
-  epoch : int; (* temporal-partitioning epoch (S-NIC config) *)
-  dead : int;
-}
-
-val default_params : params
-
 type isolation =
   | Baseline (* shared cache, free-for-all bus (commodity) *)
   | Snic (* hard cache partition + temporal bus (the paper's design) *)
@@ -39,12 +25,15 @@ type domain_result = {
 
 val default_horizon : int
 
-(** [run ~params ~l2_bytes ~isolation streams] co-runs [streams] (one per
+(** Most domains one run co-schedules: the L2's 16 ways, one per
+    hard-partitioned domain. *)
+val max_domains : int
+
+(** [run ~l2_bytes ~isolation streams] co-runs [streams] (one per
     domain, wrapped cyclically) for [horizon] cycles and returns
     per-domain results. *)
-val run :
-  ?params:params -> ?horizon:int -> l2_bytes:int -> isolation:isolation -> Workload.t array -> domain_result array
+val run : ?horizon:int -> l2_bytes:int -> isolation:isolation -> Workload.t array -> domain_result array
 
-(** [degradation ~params ~l2_bytes streams] — per-domain relative IPC
-    loss of [Snic] vs [Baseline], in percent. *)
-val degradation : ?params:params -> ?horizon:int -> l2_bytes:int -> Workload.t array -> (string * float) array
+(** [degradation ~l2_bytes streams] — per-domain relative IPC loss of
+    [Snic] vs [Baseline], in percent. *)
+val degradation : ?horizon:int -> l2_bytes:int -> Workload.t array -> (string * float) array

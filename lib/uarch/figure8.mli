@@ -12,15 +12,7 @@ type point = { threads : int; frame_bytes : int; mpps : float }
 (** [simulate ?kind ~threads ~frame_bytes ()] returns Mpps at the NIC's
     1.2 GHz clock ([kind] defaults to the paper's DPI engine; ZIP and
     RAID reuse the same harness as an extension). *)
-val simulate :
-  ?kind:Nicsim.Accel.kind ->
-  ?producer_cores:int ->
-  ?producer_cycles_per_pkt:int ->
-  ?packets:int ->
-  threads:int ->
-  frame_bytes:int ->
-  unit ->
-  float
+val simulate : ?kind:Nicsim.Accel.kind -> ?packets:int -> threads:int -> frame_bytes:int -> unit -> float
 
 (** The full figure: cluster sizes {16,32,48} x frame sizes
     {64, 512, 1500, 9000}. *)

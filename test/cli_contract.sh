@@ -173,6 +173,38 @@ case "$err" in
   *) fail "'ipc --nf NOPE' error does not list the valid NF short names" ;;
 esac
 
+# Flag values outside what the models accept are cmdliner conv errors
+# (124 + usage), not an uncaught Invalid_argument (125) from deep in a run.
+for args in "dpi --threads 0" "ipc --nfs 0" "ipc --nfs 17" "fig5 --nfs 0" "fig5 --nfs 17" "fig5 --packets 0" \
+  "dos --epoch 0" "dos --dead=-1"; do
+  set +e
+  err=$("$cli" $args 2>&1 > /dev/null)
+  status=$?
+  set -e
+  [ "$status" -eq 124 ] || fail "'$args' exited $status, want 124"
+  case "$err" in
+    *Usage:*) : ;;
+    *) fail "'$args' printed no usage line" ;;
+  esac
+done
+
+# A relation between flags, or a file the command cannot read or write,
+# is a status-2 error named after the command, raised before the run
+# prints anything.
+tmp_out=$(mktemp -d)
+for args in "dos --dead 200" "oracle --replay $tmp_out/missing" \
+  "oracle --mode snic --ops 10 --dump $tmp_out/no/dir/t" "fleet --metrics $tmp_out/no/dir/m" \
+  "chaos --metrics $tmp_out/no/dir/m" "trace chaos --out $tmp_out/no/dir/t.json"; do
+  set +e
+  "$cli" $args > "$tmp_out/stdout" 2> "$tmp_out/stderr"
+  status=$?
+  set -e
+  [ "$status" -eq 2 ] || fail "'$args' exited $status, want 2"
+  [ ! -s "$tmp_out/stdout" ] || fail "'$args' printed output before failing"
+  grep -q "^${args%% *}: " "$tmp_out/stderr" || fail "'$args' error is not prefixed with '${args%% *}: '"
+done
+rm -rf "$tmp_out"
+
 # bench --only: unknown sections are 124 + usage, known sections are
 # listed in the message (read from bench/main.ml's section table).
 if [ -n "$bench" ]; then
@@ -217,14 +249,16 @@ if [ -n "$bench" ]; then
     esac
   done
 
-  # A malformed --seed or --check baseline is a typed 124 + usage error,
-  # raised before any section runs: not an int_of_string /
-  # float_of_string / Not_found exception (status 2).
+  # A malformed --seed or --check baseline, or a --json path that cannot
+  # be written, is a typed 124 + usage error, raised before any section
+  # runs: not an int_of_string / float_of_string / Not_found /
+  # Sys_error exception (status 2).
   tmp=$(mktemp -d)
   trap 'rm -rf "$tmp"' EXIT
   printf '{\n  "datapath.pktio.forwarded": -\n}\n' > "$tmp/bare_minus.json"
   printf '{\n  "datapath.pktio.forwarded: 2000\n' > "$tmp/open_key.json"
-  for args in "--seed abc" "--check $tmp/bare_minus.json" "--check $tmp/open_key.json"; do
+  for args in "--seed abc" "--check $tmp/bare_minus.json" "--check $tmp/open_key.json" \
+    "--json $tmp/no/dir/x.json"; do
     set +e
     err=$("$bench" --only datapath $args 2>&1 > /dev/null)
     status=$?
@@ -246,4 +280,4 @@ if [ -n "$bench" ]; then
   [ "$status" -eq 1 ] || fail "'bench --only oracle --check' on a datapath baseline exited $status, want 1"
 fi
 
-echo "cli contract holds (fleet chaos trace datapath oracle vf qos ddos fabric attacks; --domains; --nf; --policy; bench --only, --seed, --check)"
+echo "cli contract holds (fleet chaos trace datapath oracle vf qos ddos fabric attacks; --domains; --nf; --policy; model ranges; output files; bench --only, --seed, --check, --json)"

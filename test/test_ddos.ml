@@ -191,10 +191,6 @@ let gens =
   [
     ( "syn_flood",
       fun rng f -> Trace.Attackgen.syn_flood rng ~benign_flows:40 ~attack_factor:5 ~packets_per_flow:3 ~f );
-    ("spoofed_storm", fun rng f -> Trace.Attackgen.spoofed_storm rng ~sources:500 ~f);
-    ( "elephant_mice",
-      fun rng f -> Trace.Attackgen.elephant_mice rng ~elephants:4 ~mice:60 ~elephant_pkts:50 ~mouse_pkts:3 ~f );
-    ("flash_crowd", fun rng f -> Trace.Attackgen.flash_crowd rng ~flows:120 ~steps:6 ~f);
   ]
 
 let digest_at gen seed = Trace.Attackgen.digest (fun f -> gen (Trace.Rng.create ~seed) f)

@@ -98,92 +98,6 @@ let test_nat_inbound_refreshes () =
   done;
   Alcotest.(check int) "inbound refreshed it" 0 (Nf.Nat.expire nat ~idle_for:5)
 
-(* ---------- VXLAN gateway ---------- *)
-
-let test_vxlan_gateway_roundtrip () =
-  let deny =
-    { (Nf.Firewall.rule_any Nf.Firewall.Deny) with Nf.Firewall.dst_ports = Some (22, 22) }
-  in
-  let inner = Nf.Firewall.nf (Nf.Firewall.create ~default:Nf.Firewall.Allow [ deny ]) in
-  let gw =
-    Nf.Vxlan_gw.create ~vni:7 ~local_vtep:(ip "172.16.0.2") ~remote_vtep:(ip "172.16.0.3") ~inner ()
-  in
-  let nf = Nf.Vxlan_gw.nf gw in
-  let inner_pkt = packet ~src:"192.168.1.1" ~dst:"192.168.1.2" ~dport:80 () in
-  let outer = Net.Vxlan.encapsulate ~vni:7 ~outer_src_ip:(ip "172.16.0.1") ~outer_dst_ip:(ip "172.16.0.2") inner_pkt in
-  (match nf.Nf.Types.process outer with
-  | Nf.Types.Forward out -> begin
-    match Net.Vxlan.decapsulate out with
-    | Ok { vni; inner = got; outer_dst_ip; _ } ->
-      Alcotest.(check int) "vni preserved" 7 vni;
-      Alcotest.(check string) "re-encapsulated toward remote VTEP" "172.16.0.3" (Net.Ipv4_addr.to_string outer_dst_ip);
-      Alcotest.(check bool) "inner intact" true (Net.Packet.equal inner_pkt got)
-    | Error e -> Alcotest.fail e
-  end
-  | Nf.Types.Drop r -> Alcotest.fail ("dropped: " ^ r));
-  (* The inner NF's policy applies to the decapsulated packet. *)
-  let ssh = packet ~src:"192.168.1.1" ~dst:"192.168.1.2" ~dport:22 () in
-  let outer_ssh = Net.Vxlan.encapsulate ~vni:7 ~outer_src_ip:(ip "172.16.0.1") ~outer_dst_ip:(ip "172.16.0.2") ssh in
-  Alcotest.(check bool) "inner firewall applies" true (Nf.Types.is_drop (nf.Nf.Types.process outer_ssh));
-  Alcotest.(check int) "decap count" 2 (Nf.Vxlan_gw.packets_decapsulated gw)
-
-let test_vxlan_gateway_rejects () =
-  let inner = Nf.Monitor.nf (Nf.Monitor.create ()) in
-  let gw = Nf.Vxlan_gw.create ~vni:7 ~local_vtep:(ip "172.16.0.2") ~remote_vtep:(ip "172.16.0.3") ~inner () in
-  let nf = Nf.Vxlan_gw.nf gw in
-  (* Wrong VNI. *)
-  let other =
-    Net.Vxlan.encapsulate ~vni:9 ~outer_src_ip:(ip "172.16.0.1") ~outer_dst_ip:(ip "172.16.0.2") (packet ())
-  in
-  Alcotest.(check bool) "foreign VNI dropped" true (Nf.Types.is_drop (nf.Nf.Types.process other));
-  (* Plain (non-VXLAN) packet. *)
-  Alcotest.(check bool) "non-vxlan dropped" true (Nf.Types.is_drop (nf.Nf.Types.process (packet ())));
-  Alcotest.(check int) "rejects counted" 2 (Nf.Vxlan_gw.packets_rejected gw)
-
-(* ---------- count-min sketch ---------- *)
-
-let test_count_min_basics () =
-  let cm = Nf.Count_min.create ~width:1024 ~depth:4 in
-  let f1 = flow 1 and f2 = flow 2 in
-  for _ = 1 to 100 do
-    Nf.Count_min.observe cm f1
-  done;
-  for _ = 1 to 7 do
-    Nf.Count_min.observe cm f2
-  done;
-  Alcotest.(check int) "observations" 107 (Nf.Count_min.observations cm);
-  Alcotest.(check bool) "f1 at least 100" true (Nf.Count_min.estimate cm f1 >= 100);
-  Alcotest.(check bool) "f2 at least 7" true (Nf.Count_min.estimate cm f2 >= 7);
-  Alcotest.(check int) "unseen flow small" 0 (Nf.Count_min.estimate cm (flow 99));
-  Alcotest.(check int) "memory fixed" (1024 * 4 * 8) (Nf.Count_min.memory_bytes cm)
-
-let prop_count_min_never_underestimates =
-  QCheck.Test.make ~name:"count-min never under-estimates" ~count:50
-    (QCheck.list_of_size (QCheck.Gen.int_range 1 300) (QCheck.int_bound 20))
-    (fun ops ->
-      let cm = Nf.Count_min.create ~width:64 ~depth:3 in
-      let truth = Hashtbl.create 16 in
-      List.iter
-        (fun i ->
-          Nf.Count_min.observe cm (flow i);
-          Hashtbl.replace truth i (1 + Option.value ~default:0 (Hashtbl.find_opt truth i)))
-        ops;
-      Hashtbl.fold (fun i n acc -> acc && Nf.Count_min.estimate cm (flow i) >= n) truth true)
-
-let test_count_min_error_bound () =
-  (* With width >> distinct flows, estimates are nearly exact. *)
-  let cm = Nf.Count_min.create ~width:4096 ~depth:5 in
-  let rng = Trace.Rng.create ~seed:31 in
-  let counts = Array.make 50 0 in
-  for _ = 1 to 5000 do
-    let i = Trace.Rng.int rng 50 in
-    counts.(i) <- counts.(i) + 1;
-    Nf.Count_min.observe cm (flow i)
-  done;
-  let max_err = ref 0 in
-  Array.iteri (fun i n -> max_err := max !max_err (Nf.Count_min.estimate cm (flow i) - n)) counts;
-  Alcotest.(check bool) (Printf.sprintf "max over-estimate %d small" !max_err) true (!max_err <= 5000 * 2 / 4096)
-
 let suite =
   [
     Alcotest.test_case "lru basics" `Quick test_lru_basic;
@@ -194,79 +108,4 @@ let suite =
     Alcotest.test_case "nat expiry recycles ports" `Quick test_nat_expiry_recycles_ports;
     Alcotest.test_case "nat refresh prevents expiry" `Quick test_nat_refresh_prevents_expiry;
     Alcotest.test_case "nat inbound refreshes" `Quick test_nat_inbound_refreshes;
-    Alcotest.test_case "vxlan gateway roundtrip" `Quick test_vxlan_gateway_roundtrip;
-    Alcotest.test_case "vxlan gateway rejects" `Quick test_vxlan_gateway_rejects;
-    Alcotest.test_case "count-min basics" `Quick test_count_min_basics;
-    QCheck_alcotest.to_alcotest prop_count_min_never_underestimates;
-    Alcotest.test_case "count-min error bound" `Quick test_count_min_error_bound;
   ]
-
-(* ---------- WAN optimizer ---------- *)
-
-let test_wan_opt_pair () =
-  let c = Nf.Wan_opt.create ~mode:Nf.Wan_opt.Compress () in
-  let d = Nf.Wan_opt.create ~mode:Nf.Wan_opt.Decompress () in
-  let nf_c = Nf.Wan_opt.nf c and nf_d = Nf.Wan_opt.nf d in
-  let payload = String.concat "" (List.init 40 (fun _ -> "GET /index.html HTTP/1.1\r\nHost: example.com\r\n")) in
-  let p = packet ~payload () in
-  (match nf_c.Nf.Types.process p with
-  | Nf.Types.Forward squeezed -> begin
-    Alcotest.(check bool) "payload shrank" true
-      (String.length squeezed.Net.Packet.payload < String.length payload);
-    match nf_d.Nf.Types.process squeezed with
-    | Nf.Types.Forward restored -> Alcotest.(check string) "restored" payload restored.Net.Packet.payload
-    | Nf.Types.Drop r -> Alcotest.fail r
-  end
-  | Nf.Types.Drop r -> Alcotest.fail r);
-  Alcotest.(check bool) "savings positive" true (Nf.Wan_opt.savings c > 0.5);
-  Alcotest.(check int) "bytes conserved end to end" (Nf.Wan_opt.bytes_in c) (Nf.Wan_opt.bytes_out d)
-
-let test_wan_opt_incompressible_passthrough () =
-  let rng = Trace.Rng.create ~seed:41 in
-  let noise = String.init 800 (fun _ -> Char.chr (Trace.Rng.int rng 256)) in
-  let c = Nf.Wan_opt.create ~mode:Nf.Wan_opt.Compress () in
-  let d = Nf.Wan_opt.create ~mode:Nf.Wan_opt.Decompress () in
-  (match (Nf.Wan_opt.nf c).Nf.Types.process (packet ~payload:noise ()) with
-  | Nf.Types.Forward out -> begin
-    Alcotest.(check int) "passthrough marked" 1 (Nf.Wan_opt.passthrough c);
-    match (Nf.Wan_opt.nf d).Nf.Types.process out with
-    | Nf.Types.Forward restored -> Alcotest.(check string) "noise survives" noise restored.Net.Packet.payload
-    | Nf.Types.Drop r -> Alcotest.fail r
-  end
-  | Nf.Types.Drop r -> Alcotest.fail r);
-  (* Garbage at the decompressor is dropped, not crashed on. *)
-  match (Nf.Wan_opt.nf d).Nf.Types.process (packet ~payload:"Zmalformed" ()) with
-  | Nf.Types.Drop _ -> ()
-  | Nf.Types.Forward _ -> Alcotest.fail "garbage shim accepted"
-
-let test_wan_opt_over_cross_vpp_chain () =
-  (* The full §1 scenario: compressor and decompressor as isolated S-NIC
-     functions chained across VPPs. *)
-  let api = Snic.Api.boot () in
-  let v_c =
-    Result.get_ok
-      (Snic.Api.nf_create api
-         { Snic.Instructions.default_config with image = "wan-c"; rules = [ Nicsim.Pktio.match_any ] })
-  in
-  let v_d = Result.get_ok (Snic.Api.nf_create api { Snic.Instructions.default_config with image = "wan-d" }) in
-  let comp = Nf.Wan_opt.create ~mode:Nf.Wan_opt.Compress () in
-  let chain =
-    Snic.Chain.create api
-      [ (v_c, Nf.Wan_opt.nf comp); (v_d, Nf.Wan_opt.nf (Nf.Wan_opt.create ~mode:Nf.Wan_opt.Decompress ())) ]
-  in
-  let payload = String.concat "" (List.init 30 (fun i -> Printf.sprintf "log line %d: status=OK\n" i)) in
-  ignore (Snic.Api.inject_packet api (packet ~payload ()));
-  ignore (Snic.Chain.pump chain ~max:10);
-  match Snic.Api.transmitted api with
-  | [ out ] ->
-    Alcotest.(check string) "restored across the chain" payload out.Net.Packet.payload;
-    Alcotest.(check bool) "link carried fewer bytes" true (Nf.Wan_opt.savings comp > 0.3)
-  | l -> Alcotest.failf "expected one frame, got %d" (List.length l)
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "wan optimizer pair" `Quick test_wan_opt_pair;
-      Alcotest.test_case "wan optimizer passthrough" `Quick test_wan_opt_incompressible_passthrough;
-      Alcotest.test_case "wan optimizer over cross-VPP chain" `Quick test_wan_opt_over_cross_vpp_chain;
-    ]

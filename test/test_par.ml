@@ -35,29 +35,15 @@ let prop_seed_spreads_across_seeds =
     (QCheck.pair (QCheck.int_bound (1 lsl 40)) (QCheck.int_bound (1 lsl 40)))
     (fun (s1, s2) -> s1 = s2 || Par.Seed.derive ~seed:s1 ~shard:0 <> Par.Seed.derive ~seed:s2 ~shard:0)
 
-(* ---------------- Batch slicing ---------------- *)
-
-let test_batch_slices () =
-  let slices batch len =
-    let acc = ref [] in
-    Par.Batch.iter_slices ~batch ~len (fun ~pos ~len -> acc := (pos, len) :: !acc);
-    List.rev !acc
-  in
-  Alcotest.(check (list (pair int int))) "exact multiple" [ (0, 2); (2, 2) ] (slices 2 4);
-  Alcotest.(check (list (pair int int))) "ragged tail" [ (0, 3); (3, 3); (6, 1) ] (slices 3 7);
-  Alcotest.(check (list (pair int int))) "empty" [] (slices 4 0);
-  Alcotest.(check (list (pair int int))) "oversized batch" [ (0, 3) ] (slices 100 3);
-  Alcotest.check_raises "batch < 1" (Invalid_argument "Par.Batch.iter_slices: batch must be >= 1") (fun () ->
-      Par.Batch.iter_slices ~batch:0 ~len:3 (fun ~pos:_ ~len:_ -> ()));
-  Alcotest.check_raises "negative len" (Invalid_argument "Par.Batch.iter_slices: len must be >= 0") (fun () ->
-      Par.Batch.iter_slices ~batch:1 ~len:(-1) (fun ~pos:_ ~len:_ -> ()))
-
 let test_digest_boundaries () =
   (* The strings digest must see element boundaries, not just the
      concatenation — shard reports ["ab";"c"] and ["a";"bc"] differ. *)
   Alcotest.(check bool) "boundary-sensitive" false
     (Par.Digest.strings [ "ab"; "c" ] = Par.Digest.strings [ "a"; "bc" ]);
-  Alcotest.(check int) "stable" (Par.Digest.string "hello") (Par.Digest.string "hello")
+  Alcotest.(check int) "stable" (Par.Digest.string "hello") (Par.Digest.string "hello");
+  (* The bench's payload checksum is [fold 0]: (97*131 + 98)*131 + 99. *)
+  Alcotest.(check int) "fold from 0" 1_677_554 (Par.Digest.fold 0 "abc");
+  Alcotest.(check int) "string is fold from 17" (Par.Digest.fold 17 "hello") (Par.Digest.string "hello")
 
 (* ---------------- Engine ---------------- *)
 
@@ -151,23 +137,11 @@ let test_oracle_digest_100k () =
         (digest 1) (digest 4))
     seeds
 
-let test_oracle_replay_paths_agree () =
-  (* The batched array interpreter is the list interpreter, sliced. *)
-  let mode = match Oracle.Campaign.mode_of_id "se-s" with Some m -> m | None -> assert false in
-  let slots = Oracle.Campaign.default_slots in
-  let ops = Oracle.Campaign.gen_ops ~slots ~ops:3_000 ~seed:7 () in
-  let a = Oracle.Campaign.replay ~mode ops in
-  let b = Oracle.Campaign.replay_array ~mode (Array.of_list ops) in
-  Alcotest.(check string) "replay == replay_array" (Oracle.Campaign.to_string a) (Oracle.Campaign.to_string b);
-  let ga = Oracle.Campaign.gen_ops_array ~slots ~ops:3_000 ~seed:7 () in
-  Alcotest.(check bool) "gen_ops_array == gen_ops" true (Array.to_list ga = ops)
-
 let suite =
   [
     Alcotest.test_case "seed derivation contract" `Quick test_seed_contract;
     QCheck_alcotest.to_alcotest prop_seed_injective;
     QCheck_alcotest.to_alcotest prop_seed_spreads_across_seeds;
-    Alcotest.test_case "batch slicing" `Quick test_batch_slices;
     Alcotest.test_case "digest boundary sensitivity" `Quick test_digest_boundaries;
     Alcotest.test_case "engine argument validation" `Quick test_engine_validation;
     Alcotest.test_case "merge order under adversarial slow shards" `Quick test_merge_order_adversarial;
@@ -175,5 +149,4 @@ let suite =
     Alcotest.test_case "map_seeded derives per-shard seeds" `Quick test_map_seeded;
     Alcotest.test_case "registry merge semantics" `Quick test_metrics_merge;
     Alcotest.test_case "oracle 100k ops: parallel == sequential (3 seeds)" `Slow test_oracle_digest_100k;
-    Alcotest.test_case "oracle replay list/array paths agree" `Quick test_oracle_replay_paths_agree;
   ]

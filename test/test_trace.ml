@@ -149,53 +149,3 @@ let suite =
     Alcotest.test_case "trace packets materialize" `Quick test_packet_materialization;
     QCheck_alcotest.to_alcotest prop_zipf_in_range;
   ]
-
-let test_tracefile_roundtrip () =
-  let t = Trace.Tracegen.ictf_like ~n_flows:500 ~seed:77 ~packets:2000 () in
-  let path = Filename.temp_file "snic" ".trc" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Trace.Tracefile.save path t;
-      match Trace.Tracefile.load path with
-      | Error e -> Alcotest.fail e
-      | Ok got ->
-        Alcotest.(check int) "flows" (Array.length t.flows) (Array.length got.flows);
-        Alcotest.(check int) "events" (Array.length t.events) (Array.length got.events);
-        Array.iteri
-          (fun i f -> if not (Net.Five_tuple.equal f got.flows.(i)) then Alcotest.fail "flow mismatch")
-          t.flows;
-        Array.iteri
-          (fun i (e : Trace.Tracegen.event) ->
-            let g = got.events.(i) in
-            if e.flow <> g.flow || e.size <> g.size || e.time_us <> g.time_us then Alcotest.fail "event mismatch")
-          t.events)
-
-let test_tracefile_rejects_garbage () =
-  let path = Filename.temp_file "snic" ".trc" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      output_string oc "NOTATRACE";
-      close_out oc;
-      (match Trace.Tracefile.load path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "garbage accepted");
-      (* Truncated file: valid magic, then cut off. *)
-      let t = Trace.Tracegen.ictf_like ~n_flows:50 ~seed:1 ~packets:100 () in
-      Trace.Tracefile.save path t;
-      let full = In_channel.with_open_bin path In_channel.input_all in
-      let oc = open_out_bin path in
-      output_string oc (String.sub full 0 (String.length full / 2));
-      close_out oc;
-      match Trace.Tracefile.load path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "truncated accepted")
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "tracefile roundtrip" `Quick test_tracefile_roundtrip;
-      Alcotest.test_case "tracefile rejects garbage" `Quick test_tracefile_rejects_garbage;
-    ]

@@ -3,9 +3,9 @@
 
    Covers the VF table lifecycle (page-aligned windows, S-NIC scrub on
    detach), strict per-VF quota accounting, the machine-policed doorbell
-   and ring-window accesses, the Vfplace packing arithmetic, the
-   Fairness summary math, and the Scenario driver's weighted-share
-   convergence and gates (its replay laws are in test_scenarios.ml). *)
+   and ring-window accesses, the Fairness summary math, and
+   Vf.Scenario's weighted-share convergence and gates (its replay laws
+   are in test_scenarios.ml). *)
 
 open Nicsim
 
@@ -205,57 +205,6 @@ let test_jain_index_cases () =
   Alcotest.(check feq) "weight-normalized goodput is perfectly fair" 1.0 r.Obs.Fairness.index;
   Alcotest.(check feq) "no share error" 0.0 r.Obs.Fairness.max_rel_err
 
-(* ---- vfplace packing ---------------------------------------------- *)
-
-let sites = [ { Fleet.Vfplace.nic = 0; Fleet.Vfplace.slots = 2 }; { Fleet.Vfplace.nic = 1; Fleet.Vfplace.slots = 2 } ]
-let vnic tenant = { Fleet.Vfplace.tenant; Fleet.Vfplace.weight = 1 }
-
-let nic_of a = a.Fleet.Vfplace.nic
-let vf_of a = a.Fleet.Vfplace.vf
-
-let test_vfplace_packed_and_spread () =
-  let vnics = List.map vnic [ 10; 11; 12 ] in
-  (match Fleet.Vfplace.pack Fleet.Vfplace.Packed ~sites ~vnics with
-  | Ok l ->
-    Alcotest.(check (list (pair int int))) "packed fills NIC 0 first" [ (0, 0); (0, 1); (1, 0) ]
-      (List.map (fun a -> (nic_of a, vf_of a)) l)
-  | Error e -> Alcotest.fail e);
-  (match Fleet.Vfplace.pack Fleet.Vfplace.Spread ~sites ~vnics with
-  | Ok l ->
-    Alcotest.(check (list (pair int int))) "spread alternates NICs" [ (0, 0); (1, 0); (0, 1) ]
-      (List.map (fun a -> (nic_of a, vf_of a)) l)
-  | Error e -> Alcotest.fail e);
-  match Fleet.Vfplace.pack Fleet.Vfplace.Packed ~sites ~vnics:(List.map vnic [ 1; 2; 3; 4; 5 ]) with
-  | Ok _ -> Alcotest.fail "over-capacity demand must be refused"
-  | Error e -> Alcotest.(check string) "capacity error names the numbers"
-                 "demand 5 vNICs exceeds capacity 4 VF slots" e
-
-let test_vfplace_per_nic_grouping () =
-  match Fleet.Vfplace.pack Fleet.Vfplace.Spread ~sites ~vnics:(List.map vnic [ 1; 2; 3; 4 ]) with
-  | Error e -> Alcotest.fail e
-  | Ok l ->
-    let groups = Fleet.Vfplace.per_nic l in
-    Alcotest.(check (list int)) "NICs ascending" [ 0; 1 ] (List.map fst groups);
-    List.iter
-      (fun (_, assigns) ->
-        Alcotest.(check (list int)) "VF ids ascending from 0" [ 0; 1 ] (List.map vf_of assigns))
-      groups
-
-let test_node_vf_accounting () =
-  let vendor = Snic.Identity.make_vendor ~seed:7 ~name:"t" () in
-  let node = Fleet.Node.boot ~vendor ~id:0 Fleet.Node.small in
-  Alcotest.(check int) "small NIC exposes 256 VFs" 256 (Fleet.Node.vf_slots node);
-  Alcotest.(check int) "none used" 0 (Fleet.Node.vf_used node);
-  Alcotest.(check bool) "claims a slot" true (Fleet.Node.attach_vf node);
-  Alcotest.(check int) "headroom shrinks" 255 (Fleet.Node.vf_headroom node);
-  Fleet.Node.release_vf node;
-  Alcotest.(check int) "release restores" 256 (Fleet.Node.vf_headroom node);
-  (* Quarantine blocks new VFs, like NF admission. *)
-  Fleet.Node.quarantine node;
-  Alcotest.(check bool) "quarantined refuses" false (Fleet.Node.attach_vf node);
-  Fleet.Node.unquarantine node;
-  Alcotest.(check bool) "readmitted accepts" true (Fleet.Node.attach_vf node)
-
 (* ---- scenario driver ---------------------------------------------- *)
 
 let small = { Vf.Scenario.nics = 1; vfs = 32; cycles = 32; seed = 42; table = Vf.Table.default_config }
@@ -295,9 +244,6 @@ let suite =
     Alcotest.test_case "snic ring-read isolation + pattern" `Quick test_snic_queue_read_isolation_and_pattern;
     Alcotest.test_case "commodity cross-VF access succeeds" `Quick test_commodity_cross_vf_access_succeeds;
     Alcotest.test_case "jain index unit cases" `Quick test_jain_index_cases;
-    Alcotest.test_case "vfplace packed/spread/capacity" `Quick test_vfplace_packed_and_spread;
-    Alcotest.test_case "vfplace per-NIC grouping" `Quick test_vfplace_per_nic_grouping;
-    Alcotest.test_case "node VF slot accounting" `Quick test_node_vf_accounting;
     Alcotest.test_case "scenario weighted shares converge" `Slow test_scenario_weighted_shares_converge;
     Alcotest.test_case "scenario gates: pinned, a doctored figure fails" `Quick test_scenario_gates;
   ]
