@@ -46,7 +46,7 @@ module Verifier = struct
     let* rest = expect_tag tag_finished fields in
     match (rest, t.key) with
     | [ mac ], Some key ->
-      if String.equal mac (Crypto.Hmac.mac ~key (confirm_label t.nonce)) then Ok ()
+      if Crypto.Hmac.verify_at ~tag:mac (Crypto.Hmac.mac ~key (confirm_label t.nonce)) ~pos:0 then Ok ()
       else Error "key confirmation failed (different keys or tampering)"
     | _, None -> Error "FINISHED before QUOTE"
     | _ -> Error "malformed finished message"

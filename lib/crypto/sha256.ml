@@ -74,7 +74,9 @@ let compress ctx =
   h.(6) <- (h.(6) + !g) land mask;
   h.(7) <- (h.(7) + !hh) land mask
 
-let feed_sub ctx src pos len =
+let copy ctx = { ctx with h = Array.copy ctx.h; block = Bytes.copy ctx.block; w = Array.make 64 0 }
+
+let absorb ctx src pos len =
   ctx.total <- ctx.total + len;
   let pos = ref pos and len = ref len in
   while !len > 0 do
@@ -89,8 +91,12 @@ let feed_sub ctx src pos len =
     end
   done
 
-let feed_bytes ctx b = feed_sub ctx b 0 (Bytes.length b)
+let feed_bytes ctx b = absorb ctx b 0 (Bytes.length b)
 let feed ctx s = feed_bytes ctx (Bytes.unsafe_of_string s)
+
+let feed_sub ctx s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Crypto.Sha256.feed_sub";
+  absorb ctx (Bytes.unsafe_of_string s) pos len
 
 let finalize ctx =
   let total_bits = ctx.total * 8 in
@@ -116,14 +122,20 @@ let finalize ctx =
     Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
     Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xff))
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 let digest s =
   let ctx = init () in
   feed ctx s;
   finalize ctx
 
+let hex_digits = "0123456789abcdef"
+
 let to_hex s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
+  let out = Bytes.create (2 * String.length s) in
+  String.iteri
+    (fun i c ->
+      Bytes.set out (2 * i) hex_digits.[Char.code c lsr 4];
+      Bytes.set out ((2 * i) + 1) hex_digits.[Char.code c land 0xf])
+    s;
+  Bytes.unsafe_to_string out

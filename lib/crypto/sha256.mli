@@ -13,6 +13,16 @@ val feed : ctx -> string -> unit
 
 val feed_bytes : ctx -> bytes -> unit
 
+(** [feed_sub ctx s ~pos ~len] absorbs the [len] bytes of [s] from [pos]
+    without copying them out first.  Raises [Invalid_argument] if the
+    range is not inside [s]. *)
+val feed_sub : ctx -> string -> pos:int -> len:int -> unit
+
+(** [copy ctx] is an independent context in the same state: feeding or
+    finalizing either one leaves the other as it was.  {!Hmac} absorbs a
+    key's pad blocks once and copies the result for every MAC. *)
+val copy : ctx -> ctx
+
 (** [finalize ctx] returns the 32-byte digest. The context must not be
     used afterwards. *)
 val finalize : ctx -> string
@@ -20,4 +30,5 @@ val finalize : ctx -> string
 (** One-shot digest. *)
 val digest : string -> string
 
+(** Lowercase hex, two characters per byte. *)
 val to_hex : string -> string

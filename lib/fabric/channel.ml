@@ -1,5 +1,5 @@
 type tx = {
-  t_key : string;
+  t_key : Crypto.Hmac.keyed;
   t_chan : int;
   mutable t_next : int;
   t_cap : int;
@@ -10,7 +10,7 @@ type tx = {
 }
 
 type rx = {
-  r_key : string;
+  r_key : Crypto.Hmac.keyed;
   r_chan : int;
   r_window : Window.t;
   mutable r_delivered : int;
@@ -33,6 +33,7 @@ let recv_error_to_string = function
 
 let pair ?(sink = Obs.null) ?(window = 32) ?(buffer = 1024) ?(tap = fun _ -> ()) ~key ~chan () =
   if buffer < 0 then invalid_arg "Fabric.Channel.pair: negative buffer capacity";
+  let key = Crypto.Hmac.keyed key in
   ( { t_key = key; t_chan = chan; t_next = 0; t_cap = buffer; t_buf = Queue.create (); t_sent = 0; t_tap = tap; t_sink = sink },
     {
       r_key = key;

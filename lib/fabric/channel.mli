@@ -4,8 +4,9 @@
     replay buffer of recent payloads (the flow state a failover replays
     into a re-placed stage); the receiver half owns the anti-replay
     {!Window} and the rejection counters the scenario gates pin.  Both
-    halves hold the same attestation-derived session key; {!Frame} binds
-    every payload to (key, channel id, sequence number). *)
+    halves share one {!Crypto.Hmac.keyed} state of the attestation-derived
+    session key, built once by {!pair}; {!Frame} binds every payload to
+    (key, channel id, sequence number). *)
 
 type tx
 type rx

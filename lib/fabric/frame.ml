@@ -20,11 +20,11 @@ let error_to_string = function
   | Bad_mac -> "frame MAC does not verify"
   | Trailing n -> Printf.sprintf "%d trailing bytes after the frame" n
 
-let put_u32 b v =
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char b (Char.chr (v land 0xFF))
+let put_u32 b off v =
+  Bytes.set b off (Char.chr ((v lsr 24) land 0xFF));
+  Bytes.set b (off + 1) (Char.chr ((v lsr 16) land 0xFF));
+  Bytes.set b (off + 2) (Char.chr ((v lsr 8) land 0xFF));
+  Bytes.set b (off + 3) (Char.chr (v land 0xFF))
 
 let get_u32 s pos =
   (Char.code s.[pos] lsl 24)
@@ -35,21 +35,25 @@ let get_u32 s pos =
 let encode ~key t =
   if t.chan < 0 || t.chan > u32_max then invalid_arg "Fabric.Frame.encode: chan outside u32";
   if t.seq < 0 || t.seq > u32_max then invalid_arg "Fabric.Frame.encode: seq outside u32";
-  if String.length t.payload > max_payload then invalid_arg "Fabric.Frame.encode: payload too long";
-  let b = Buffer.create (overhead + String.length t.payload) in
-  Buffer.add_string b magic;
-  put_u32 b t.chan;
-  put_u32 b t.seq;
-  put_u32 b (String.length t.payload);
-  Buffer.add_string b t.payload;
-  let mac = Crypto.Hmac.mac ~key (Buffer.contents b) in
-  Buffer.add_string b mac;
-  Buffer.contents b
+  let len = String.length t.payload in
+  if len > max_payload then invalid_arg "Fabric.Frame.encode: payload too long";
+  let b = Bytes.create (overhead + len) in
+  Bytes.blit_string magic 0 b 0 4;
+  put_u32 b 4 t.chan;
+  put_u32 b 8 t.seq;
+  put_u32 b 12 len;
+  Bytes.blit_string t.payload 0 b 16 len;
+  (* [b] is not written while [mac_sub] reads it as a string. *)
+  let mac = Crypto.Hmac.mac_sub key (Bytes.unsafe_to_string b) ~pos:0 ~len:(16 + len) in
+  Bytes.blit_string mac 0 b (16 + len) mac_len;
+  Bytes.unsafe_to_string b
+
+let magic_u32 = get_u32 magic 0
 
 let decode ~key s ~pos =
   let avail = String.length s - pos in
   if avail < 16 then Error (Truncated { need = 16; got = max avail 0 })
-  else if not (String.equal (String.sub s pos 4) magic) then Error Bad_magic
+  else if get_u32 s pos <> magic_u32 then Error Bad_magic
   else begin
     let chan = get_u32 s (pos + 4) in
     let seq = get_u32 s (pos + 8) in
@@ -59,11 +63,9 @@ let decode ~key s ~pos =
       let need = 16 + len + mac_len in
       if avail < need then Error (Truncated { need; got = avail })
       else begin
-        let payload = String.sub s (pos + 16) len in
-        let mac = String.sub s (pos + 16 + len) mac_len in
-        let expect = Crypto.Hmac.mac ~key (String.sub s pos (16 + len)) in
-        if not (String.equal mac expect) then Error Bad_mac
-        else Ok ({ chan; seq; payload }, pos + need)
+        let expect = Crypto.Hmac.mac_sub key s ~pos ~len:(16 + len) in
+        if not (Crypto.Hmac.verify_at ~tag:expect s ~pos:(pos + 16 + len)) then Error Bad_mac
+        else Ok ({ chan; seq; payload = String.sub s (pos + 16) len }, pos + need)
       end
     end
   end

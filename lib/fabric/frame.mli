@@ -31,16 +31,19 @@ type error =
 
 val error_to_string : error -> string
 
-(** [encode ~key t] serializes and MACs one frame.  Raises
+(** [encode ~key t] serializes and MACs one frame under the channel's
+    keyed state, writing header, payload and tag into one buffer.  Raises
     [Invalid_argument] if [chan] or [seq] is negative or outside u32, or
     the payload exceeds {!max_payload}. *)
-val encode : key:string -> t -> string
+val encode : key:Crypto.Hmac.keyed -> t -> string
 
 (** [decode ~key s ~pos] parses one frame starting at [pos]; returns the
     frame and the position just past it, so callers can walk a
-    concatenated stream. *)
-val decode : key:string -> string -> pos:int -> (t * int, error) result
+    concatenated stream.  The MAC is computed and checked in place, in
+    constant time ({!Crypto.Hmac.verify_at}); the payload is copied out
+    only once it verifies. *)
+val decode : key:Crypto.Hmac.keyed -> string -> pos:int -> (t * int, error) result
 
 (** [decode_exact ~key s] parses exactly one frame spanning all of [s];
     trailing bytes are a {!Trailing} error. *)
-val decode_exact : key:string -> string -> (t, error) result
+val decode_exact : key:Crypto.Hmac.keyed -> string -> (t, error) result

@@ -150,20 +150,17 @@ let corrupt t ~bit =
 
 (* ------------------------------------------------------------------ *)
 
-type nf_state = { filter : t; mutable packets : int }
+type nf_state = t
 
-let nf_create ?probe ?seed ?(fp_bits = 12) ?(log2_buckets = 14) () =
-  { filter = create ?probe ?seed ~fp_bits ~log2_buckets (); packets = 0 }
+let nf_create ?probe ?seed ?(fp_bits = 12) ?(log2_buckets = 14) () = create ?probe ?seed ~fp_bits ~log2_buckets ()
 
 let nf (st : nf_state) =
   {
     Types.name = "CKF";
     process =
       (fun pkt ->
-        st.packets <- st.packets + 1;
-        let flow = Net.Packet.flow pkt in
-        ignore (insert st.filter flow);
+        ignore (insert st (Net.Packet.flow pkt));
         Types.Forward pkt);
   }
 
-let nf_filter st = st.filter
+let nf_filter st = st

@@ -12,7 +12,8 @@
    and passes through untouched. *)
 
 type t = {
-  key : string;
+  key : Crypto.Hmac.keyed;
+  msg : Bytes.t; (* cookie-message scratch, rewritten by every [cookie_at] *)
   filter : Cuckoo.t;
   mutable epoch : int;
   mutable challenges : int; (* SYNs answered with a cookie (and dropped) *)
@@ -21,9 +22,15 @@ type t = {
   mutable no_handshake : int; (* data from flows not in the whitelist *)
 }
 
+(* The longest cookie message: four ints of up to 20 characters (the
+   ports, the protocol and the epoch), two dotted quads and the
+   separators come to 119 bytes. *)
+let msg_capacity = 128
+
 let create ?probe ?filter_seed ?(fp_bits = 12) ?(log2_buckets = 14) ~key () =
   {
-    key;
+    key = Crypto.Hmac.keyed key;
+    msg = Bytes.create msg_capacity;
     filter = Cuckoo.create ?probe ?seed:filter_seed ~fp_bits ~log2_buckets ();
     epoch = 0;
     challenges = 0;
@@ -34,12 +41,46 @@ let create ?probe ?filter_seed ?(fp_bits = 12) ?(log2_buckets = 14) ~key () =
 
 let cookie_bytes = 8
 
+let put_char b pos c =
+  Bytes.set b pos c;
+  pos + 1
+
+let put_string b pos s =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+(* [n] in decimal, as [%d] prints it.  The digits come from [-|n|],
+   which cannot overflow, so [min_int] prints too. *)
+let put_int b pos n =
+  let rec digits pos m =
+    let pos = if m <= -10 then digits pos (m / 10) else pos in
+    put_char b pos (Char.chr (Char.code '0' - (m mod 10)))
+  in
+  if n < 0 then digits (put_char b pos '-') n else digits pos (-n)
+
+let put_ip b pos a =
+  let pos = put_int b pos ((a lsr 24) land 0xff) in
+  let pos = put_int b (put_char b pos '.') ((a lsr 16) land 0xff) in
+  let pos = put_int b (put_char b pos '.') ((a lsr 8) land 0xff) in
+  put_int b (put_char b pos '.') (a land 0xff)
+
+(* Writes the cookie message into [b] and returns its length.  The bytes
+   are exactly [Printf.sprintf "%s|%d" (Net.Five_tuple.to_string flow)
+   epoch], i.e. ["a.b.c.d:sport -> e.f.g.h:dport /proto|epoch"]: changing
+   one of them changes every cookie. *)
+let write_msg b (flow : Net.Five_tuple.t) epoch =
+  let pos = put_ip b 0 flow.src_ip in
+  let pos = put_int b (put_char b pos ':') flow.src_port in
+  let pos = put_ip b (put_string b pos " -> ") flow.dst_ip in
+  let pos = put_int b (put_char b pos ':') flow.dst_port in
+  let pos = put_int b (put_string b pos " /") flow.proto in
+  put_int b (put_char b pos '|') epoch
+
 let cookie_at t ~epoch flow =
-  let msg = Printf.sprintf "%s|%d" (Net.Five_tuple.to_string flow) epoch in
-  let tag = Crypto.Hmac.mac ~key:t.key msg in
-  let b = Buffer.create (2 * cookie_bytes) in
-  String.iteri (fun i c -> if i < cookie_bytes then Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) tag;
-  Buffer.contents b
+  let len = write_msg t.msg flow epoch in
+  (* [t.msg] is not written while [mac_sub] reads it as a string. *)
+  let tag = Crypto.Hmac.mac_sub t.key (Bytes.unsafe_to_string t.msg) ~pos:0 ~len in
+  Crypto.Sha256.to_hex (String.sub tag 0 cookie_bytes)
 
 let cookie t flow = cookie_at t ~epoch:t.epoch flow
 
@@ -49,9 +90,6 @@ let validate t flow hex = String.equal hex (cookie t flow) || String.equal hex (
 
 let advance_epoch t = t.epoch <- t.epoch + 1
 let epoch t = t.epoch
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix && String.equal (String.sub s 0 (String.length prefix)) prefix
 
 let syn_payload = "SYN"
 let ack_prefix = "ACK:"
@@ -65,12 +103,12 @@ let process t pkt =
   | Net.Packet.Tcp ->
     let flow = Net.Packet.flow pkt in
     let payload = pkt.Net.Packet.payload in
-    if has_prefix ~prefix:syn_payload payload && String.length payload <= String.length syn_payload then begin
+    if String.starts_with ~prefix:syn_payload payload && String.length payload <= String.length syn_payload then begin
       (* Stateless challenge: answer with the cookie, keep nothing. *)
       t.challenges <- t.challenges + 1;
       Types.Drop ("syn-cookie-challenge:" ^ cookie t flow)
     end
-    else if has_prefix ~prefix:ack_prefix payload then begin
+    else if String.starts_with ~prefix:ack_prefix payload then begin
       let hex = String.sub payload (String.length ack_prefix) (String.length payload - String.length ack_prefix) in
       if validate t flow hex then begin
         t.admitted <- t.admitted + 1;

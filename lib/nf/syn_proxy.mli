@@ -12,6 +12,9 @@
 
 type t
 
+(** [create ~key ()] keys the cookie HMAC once ({!Crypto.Hmac.keyed}).
+    A proxy is mutable and has one owner: every cookie it computes is
+    written into the same message buffer. *)
 val create :
   ?probe:Types.probe -> ?filter_seed:int -> ?fp_bits:int -> ?log2_buckets:int -> key:string -> unit -> t
 

@@ -24,7 +24,45 @@ let test_hmac_rfc4231 () =
   (* test case 1: 20 bytes of 0x0b, "Hi There" *)
   let tag1 = Crypto.Hmac.mac ~key:(String.make 20 '\x0b') "Hi There" in
   Alcotest.(check string) "rfc4231 tc1" "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    (Crypto.Sha256.to_hex tag1)
+    (Crypto.Sha256.to_hex tag1);
+  (* Test cases 6 and 7: a 131-byte key, longer than the block, is
+     hashed before padding. *)
+  let long_key = String.make 131 '\xaa' in
+  Alcotest.(check string) "rfc4231 tc6" "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+    (Crypto.Sha256.to_hex (Crypto.Hmac.mac ~key:long_key "Test Using Larger Than Block-Size Key - Hash Key First"));
+  Alcotest.(check string) "rfc4231 tc7" "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+    (Crypto.Sha256.to_hex
+       (Crypto.Hmac.mac ~key:long_key
+          "This is a test using a larger than block-size key and a larger than block-size data. The key needs to \
+           be hashed before being used by the HMAC algorithm."))
+
+let test_hmac_mac_sub_range () =
+  let k = Crypto.Hmac.keyed "k" in
+  let raises pos len =
+    match Crypto.Hmac.mac_sub k "0123456789" ~pos ~len with exception Invalid_argument _ -> true | _ -> false
+  in
+  Alcotest.(check bool) "pos < 0" true (raises (-1) 2);
+  Alcotest.(check bool) "len < 0" true (raises 0 (-1));
+  Alcotest.(check bool) "pos + len > length" true (raises 4 7);
+  Alcotest.(check bool) "whole string" false (raises 0 10);
+  Alcotest.(check bool) "empty range at the end" false (raises 10 0)
+
+let test_hmac_verify_at () =
+  let tag = Crypto.Hmac.mac ~key:"k" "m" in
+  let framed = "hdr" ^ tag ^ "tail" in
+  Alcotest.(check bool) "equal tags" true (Crypto.Hmac.verify_at ~tag tag ~pos:0);
+  Alcotest.(check bool) "equal tag at an offset" true (Crypto.Hmac.verify_at ~tag framed ~pos:3);
+  for i = 0 to 31 do
+    let flipped = Bytes.of_string tag in
+    Bytes.set flipped i (Char.chr (Char.code (Bytes.get flipped i) lxor 0x10));
+    if Crypto.Hmac.verify_at ~tag (Bytes.to_string flipped) ~pos:0 then
+      Alcotest.failf "a flipped bit at byte %d still verified" i
+  done;
+  Alcotest.(check bool) "short buffer" false (Crypto.Hmac.verify_at ~tag (String.sub tag 0 31) ~pos:0);
+  Alcotest.(check bool) "too few bytes after pos" false (Crypto.Hmac.verify_at ~tag framed ~pos:8);
+  Alcotest.(check bool) "pos past the end" false (Crypto.Hmac.verify_at ~tag framed ~pos:100);
+  Alcotest.(check bool) "negative pos" false (Crypto.Hmac.verify_at ~tag framed ~pos:(-1));
+  Alcotest.(check bool) "short tag" false (Crypto.Hmac.verify_at ~tag:(String.sub tag 0 31) tag ~pos:0)
 
 let test_dh_agreement () =
   let st = Random.State.make [| 7 |] in
@@ -86,11 +124,34 @@ let prop_hmac_keyed =
     (QCheck.pair QCheck.small_string QCheck.small_string)
     (fun (k, m) -> String.equal (Crypto.Hmac.mac ~key:k m) (Crypto.Hmac.mac ~key:(k ^ "x") m) = false)
 
+(* The keyed path over a byte range equals the one-shot MAC of the
+   copied-out range, for keys on both sides of the 64-byte block; the
+   second MAC under the same keyed state checks that the first left it
+   unchanged. *)
+let prop_hmac_mac_sub =
+  let gen =
+    QCheck.Gen.(
+      let* key = string_size (int_range 0 200) in
+      let* s = string_size (int_range 0 300) in
+      let* pos = int_range 0 (String.length s) in
+      let* len = int_range 0 (String.length s - pos) in
+      return (key, s, pos, len))
+  in
+  QCheck.Test.make ~name:"hmac mac_sub = mac over the copied range" ~count:300
+    (QCheck.make ~print:(fun (k, s, pos, len) -> Printf.sprintf "key=%S s=%S pos=%d len=%d" k s pos len) gen)
+    (fun (key, s, pos, len) ->
+      let k = Crypto.Hmac.keyed key in
+      let want = Crypto.Hmac.mac ~key (String.sub s pos len) in
+      String.equal (Crypto.Hmac.mac_sub k s ~pos ~len) want && String.equal (Crypto.Hmac.mac_sub k s ~pos ~len) want)
+
 let suite =
   [
     Alcotest.test_case "sha256 FIPS vectors" `Quick test_sha256_vectors;
     Alcotest.test_case "sha256 incremental" `Quick test_sha256_incremental;
     Alcotest.test_case "hmac rfc4231" `Quick test_hmac_rfc4231;
+    Alcotest.test_case "hmac mac_sub range" `Quick test_hmac_mac_sub_range;
+    Alcotest.test_case "hmac verify_at" `Quick test_hmac_verify_at;
+    QCheck_alcotest.to_alcotest prop_hmac_mac_sub;
     Alcotest.test_case "dh agreement" `Quick test_dh_agreement;
     Alcotest.test_case "rsa sign/verify" `Slow test_rsa_sign_verify;
     Alcotest.test_case "certificate chain" `Slow test_certificate_chain;

@@ -122,6 +122,41 @@ let test_cookie_epoch_grace () =
   Nf.Syn_proxy.advance_epoch p;
   Alcotest.(check bool) "stale cookie rejected" false (Nf.Syn_proxy.validate p f c)
 
+(* Fixed cookies for one flow: the e2e bench's client echoes cookies
+   computed by the same [cookie_at], so only known answers catch a
+   change to the cookie message or its MAC.  Epoch -1 is what [validate]
+   asks for at epoch 0. *)
+let test_cookie_known_answer () =
+  let p = proxy () in
+  let f =
+    Net.Five_tuple.make
+      ~src_ip:(Net.Ipv4_addr.of_octets 10 1 2 3)
+      ~dst_ip:(Net.Ipv4_addr.of_octets 192 168 0 1)
+      ~proto:6 ~src_port:40000 ~dst_port:80
+  in
+  List.iter
+    (fun (epoch, want) -> Alcotest.(check string) (Printf.sprintf "epoch %d" epoch) want (Nf.Syn_proxy.cookie_at p ~epoch f))
+    [ (-1, "e227e21df7307dab"); (0, "1ec0c99750fd4374"); (1, "739a182fcb1c0069"); (1_000_000, "18cd8a36066774ae") ]
+
+(* The cookie is the hex of the first 8 bytes of HMAC-SHA256 over
+   [Printf.sprintf "%s|%d" (Net.Five_tuple.to_string flow) epoch], for
+   any field values: negative, extreme and out-of-range ones too. *)
+let prop_cookie_reference =
+  let field = QCheck.Gen.(oneof [ int; int_range (-10) 70_000; oneofl [ min_int; max_int ] ]) in
+  let gen =
+    QCheck.Gen.(
+      let* src_ip = field and* dst_ip = field and* proto = field in
+      let* src_port = field and* dst_port = field and* epoch = field in
+      return (Net.Five_tuple.make ~src_ip ~dst_ip ~proto ~src_port ~dst_port, epoch))
+  in
+  let p = proxy () in
+  QCheck.Test.make ~name:"syn-cookie = truncated HMAC of the printed flow and epoch" ~count:300
+    (QCheck.make ~print:(fun (f, e) -> Printf.sprintf "%s|%d" (Net.Five_tuple.to_string f) e) gen)
+    (fun (flow, epoch) ->
+      let msg = Printf.sprintf "%s|%d" (Net.Five_tuple.to_string flow) epoch in
+      let want = String.sub (Crypto.Sha256.to_hex (Crypto.Hmac.mac ~key:"test-key" msg)) 0 16 in
+      String.equal (Nf.Syn_proxy.cookie_at p ~epoch flow) want)
+
 let pkt ?(proto = Net.Packet.Tcp) flow payload =
   Net.Packet.make ~src_ip:flow.Net.Five_tuple.src_ip ~dst_ip:flow.Net.Five_tuple.dst_ip ~proto
     ~src_port:flow.Net.Five_tuple.src_port ~dst_port:flow.Net.Five_tuple.dst_port payload
@@ -347,6 +382,8 @@ let suite =
     Alcotest.test_case "syn-cookie round trip" `Quick test_cookie_round_trip;
     Alcotest.test_case "syn-cookie wrong key" `Quick test_cookie_wrong_key;
     Alcotest.test_case "syn-cookie epoch grace" `Quick test_cookie_epoch_grace;
+    Alcotest.test_case "syn-cookie known answer" `Quick test_cookie_known_answer;
+    QCheck_alcotest.to_alcotest prop_cookie_reference;
     Alcotest.test_case "proxy handshake protocol" `Quick test_proxy_handshake_protocol;
     Alcotest.test_case "proxy memory flat" `Quick test_proxy_memory_flat;
     Alcotest.test_case "registry ddos pair" `Quick test_registry_ddos_pair;

@@ -10,6 +10,8 @@
 let key_of_seed seed = String.init 32 (fun i -> Char.chr ((i * 7) + seed land 0xff))
 let key_a = key_of_seed 1
 let key_b = key_of_seed 2
+let keyed_a = Crypto.Hmac.keyed key_a
+let keyed_b = Crypto.Hmac.keyed key_b
 
 (* ---------- Frame codec ---------- *)
 
@@ -28,21 +30,21 @@ let frame_arb =
 
 let prop_frame_roundtrip =
   QCheck.Test.make ~name:"frame: encode/decode_exact round trip" ~count:300 frame_arb (fun f ->
-      match Fabric.Frame.decode_exact ~key:key_a (Fabric.Frame.encode ~key:key_a f) with
+      match Fabric.Frame.decode_exact ~key:keyed_a (Fabric.Frame.encode ~key:keyed_a f) with
       | Ok f' -> f' = f
       | Error _ -> false)
 
 let prop_frame_garbage =
   QCheck.Test.make ~name:"frame: garbage never parses" ~count:300
     QCheck.(string_of_size Gen.(int_range 0 120))
-    (fun s -> Result.is_error (Fabric.Frame.decode_exact ~key:key_a s))
+    (fun s -> Result.is_error (Fabric.Frame.decode_exact ~key:keyed_a s))
 
 let prop_frame_truncation =
   QCheck.Test.make ~name:"frame: every strict prefix is rejected" ~count:60 frame_arb (fun f ->
-      let wire = Fabric.Frame.encode ~key:key_a f in
+      let wire = Fabric.Frame.encode ~key:keyed_a f in
       let ok = ref true in
       for cut = 0 to String.length wire - 1 do
-        if Result.is_ok (Fabric.Frame.decode_exact ~key:key_a (String.sub wire 0 cut)) then ok := false
+        if Result.is_ok (Fabric.Frame.decode_exact ~key:keyed_a (String.sub wire 0 cut)) then ok := false
       done;
       !ok)
 
@@ -50,24 +52,32 @@ let prop_frame_bitflip =
   QCheck.Test.make ~name:"frame: any single-bit flip fails" ~count:150
     QCheck.(pair frame_arb (pair small_nat (int_bound 7)))
     (fun (f, (byte_idx, bit)) ->
-      let wire = Bytes.of_string (Fabric.Frame.encode ~key:key_a f) in
+      let wire = Bytes.of_string (Fabric.Frame.encode ~key:keyed_a f) in
       let i = byte_idx mod Bytes.length wire in
       Bytes.set wire i (Char.chr (Char.code (Bytes.get wire i) lxor (1 lsl bit)));
-      Result.is_error (Fabric.Frame.decode_exact ~key:key_a (Bytes.to_string wire)))
+      Result.is_error (Fabric.Frame.decode_exact ~key:keyed_a (Bytes.to_string wire)))
 
 let test_frame_trailing () =
-  let wire = Fabric.Frame.encode ~key:key_a { Fabric.Frame.chan = 1; seq = 2; payload = "p" } in
-  (match Fabric.Frame.decode_exact ~key:key_a (wire ^ "xyz") with
+  let wire = Fabric.Frame.encode ~key:keyed_a { Fabric.Frame.chan = 1; seq = 2; payload = "p" } in
+  (match Fabric.Frame.decode_exact ~key:keyed_a (wire ^ "xyz") with
   | Error (Fabric.Frame.Trailing 3) -> ()
   | Error e -> Alcotest.fail ("expected Trailing 3, got " ^ Fabric.Frame.error_to_string e)
   | Ok _ -> Alcotest.fail "trailing bytes accepted");
-  match Fabric.Frame.decode_exact ~key:key_a ("XNF1" ^ String.sub wire 4 (String.length wire - 4)) with
+  match Fabric.Frame.decode_exact ~key:keyed_a ("XNF1" ^ String.sub wire 4 (String.length wire - 4)) with
   | Error Fabric.Frame.Bad_magic -> ()
   | _ -> Alcotest.fail "bad magic accepted"
 
+(* The wire bytes themselves: header, payload and HMAC-SHA256 tag under
+   [key_a].  Any change to the codec or the MAC changes this string. *)
+let test_frame_known_answer () =
+  let wire = Fabric.Frame.encode ~key:keyed_a { Fabric.Frame.chan = 3; seq = 9; payload = "secret" } in
+  Alcotest.(check string) "54-byte wire"
+    "534e4631000000030000000900000006736563726574a575ac97336ad873d17bc776c5dfd9cc8c96ca69ec3484e50ac3ca7d1da7d675"
+    (Crypto.Sha256.to_hex wire)
+
 let test_frame_wrong_key () =
-  let wire = Fabric.Frame.encode ~key:key_a { Fabric.Frame.chan = 3; seq = 9; payload = "secret" } in
-  match Fabric.Frame.decode_exact ~key:key_b wire with
+  let wire = Fabric.Frame.encode ~key:keyed_a { Fabric.Frame.chan = 3; seq = 9; payload = "secret" } in
+  match Fabric.Frame.decode_exact ~key:keyed_b wire with
   | Error Fabric.Frame.Bad_mac -> ()
   | Error e -> Alcotest.fail ("expected Bad_mac, got " ^ Fabric.Frame.error_to_string e)
   | Ok _ -> Alcotest.fail "frame authenticated under the wrong key"
@@ -76,11 +86,11 @@ let test_frame_concat_walk () =
   let frames =
     List.init 3 (fun i -> { Fabric.Frame.chan = 7; seq = i; payload = String.make (i + 1) (Char.chr (0x61 + i)) })
   in
-  let stream = String.concat "" (List.map (Fabric.Frame.encode ~key:key_a) frames) in
+  let stream = String.concat "" (List.map (Fabric.Frame.encode ~key:keyed_a) frames) in
   let rec walk pos acc =
     if pos = String.length stream then List.rev acc
     else
-      match Fabric.Frame.decode ~key:key_a stream ~pos with
+      match Fabric.Frame.decode ~key:keyed_a stream ~pos with
       | Ok (f, next) -> walk next (f :: acc)
       | Error e -> Alcotest.fail ("walk failed: " ^ Fabric.Frame.error_to_string e)
   in
@@ -89,16 +99,16 @@ let test_frame_concat_walk () =
 let test_frame_validation () =
   let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
   Alcotest.(check bool) "negative chan refused" true
-    (raises (fun () -> Fabric.Frame.encode ~key:key_a { Fabric.Frame.chan = -1; seq = 0; payload = "" }));
+    (raises (fun () -> Fabric.Frame.encode ~key:keyed_a { Fabric.Frame.chan = -1; seq = 0; payload = "" }));
   Alcotest.(check bool) "negative seq refused" true
-    (raises (fun () -> Fabric.Frame.encode ~key:key_a { Fabric.Frame.chan = 0; seq = -1; payload = "" }));
+    (raises (fun () -> Fabric.Frame.encode ~key:keyed_a { Fabric.Frame.chan = 0; seq = -1; payload = "" }));
   Alcotest.(check bool) "oversize payload refused" true
     (raises (fun () ->
-         Fabric.Frame.encode ~key:key_a
+         Fabric.Frame.encode ~key:keyed_a
            { Fabric.Frame.chan = 0; seq = 0; payload = String.make (Fabric.Frame.max_payload + 1) 'x' }));
   match
-    Fabric.Frame.decode_exact ~key:key_a
-      (Fabric.Frame.encode ~key:key_a { Fabric.Frame.chan = 0; seq = 0; payload = String.make Fabric.Frame.max_payload 'x' })
+    Fabric.Frame.decode_exact ~key:keyed_a
+      (Fabric.Frame.encode ~key:keyed_a { Fabric.Frame.chan = 0; seq = 0; payload = String.make Fabric.Frame.max_payload 'x' })
   with
   | Ok f -> Alcotest.(check int) "max payload round trips" Fabric.Frame.max_payload (String.length f.Fabric.Frame.payload)
   | Error e -> Alcotest.fail (Fabric.Frame.error_to_string e)
@@ -235,7 +245,7 @@ let test_channel_buffer_and_tap () =
   Alcotest.(check int) "tap saw every wire frame" 5 (List.length !taps);
   List.iter
     (fun w ->
-      match Fabric.Frame.decode_exact ~key:key_a w with
+      match Fabric.Frame.decode_exact ~key:keyed_a w with
       | Ok f -> Alcotest.(check int) "tapped frame on chan 4" 4 f.Fabric.Frame.chan
       | Error e -> Alcotest.fail (Fabric.Frame.error_to_string e))
     !taps;
@@ -406,6 +416,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_frame_truncation;
     QCheck_alcotest.to_alcotest prop_frame_bitflip;
     Alcotest.test_case "frame trailing + magic" `Quick test_frame_trailing;
+    Alcotest.test_case "frame known answer" `Quick test_frame_known_answer;
     Alcotest.test_case "frame wrong key" `Quick test_frame_wrong_key;
     Alcotest.test_case "frame concatenated walk" `Quick test_frame_concat_walk;
     Alcotest.test_case "frame validation" `Quick test_frame_validation;
