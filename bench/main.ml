@@ -1,6 +1,7 @@
-(* Regenerates every table and figure of the S-NIC paper's evaluation
-   (§5 + appendices) from this repository's models and simulators, then
-   runs Bechamel microbenchmarks of the substrate.
+(* Prints every table and figure of the S-NIC paper's evaluation (§5 +
+   appendices) from lib/repro's registry, with the paper's values as
+   claims, then the fleet, chaos and scenario sections, then Bechamel
+   microbenchmarks of the substrate.
 
    Run with: dune exec bench/main.exe
    Pass --fast to shrink the Figure 5 sweeps (CI-sized). *)
@@ -98,518 +99,26 @@ let header title =
 let subheader title = Printf.printf "\n-- %s --\n" title
 
 (* ------------------------------------------------------------------ *)
-(* Table 1: management API vs trusted instructions                     *)
+(* The paper's tables and figures (lib/repro)                          *)
 (* ------------------------------------------------------------------ *)
 
-let table1 () =
-  header "Table 1: management APIs and trusted instructions";
-  Printf.printf "%-34s %-52s\n" "Management API (NIC OS)" "Trusted instruction (hardware)";
-  Printf.printf "%-34s %-52s\n" "NF_create(net,core,dpi,...)" "nf_launch: core_mask, page_table, vpp_config, accel_mask";
-  Printf.printf "%-34s %-52s\n" "(n/a)" "nf_attest: sign H(initial state) + DH parameters";
-  Printf.printf "%-34s %-52s\n" "NF_destroy(nf_id)" "nf_teardown: scrub + release all resources";
-  print_endline "(exercised end-to-end by examples/quickstart.exe and the snic test suite)"
-
-(* ------------------------------------------------------------------ *)
-(* Tables 2-4: TLB silicon costs                                       *)
-(* ------------------------------------------------------------------ *)
-
-let table2 () =
-  header "Table 2: TLB hardware cost on programmable cores (McPAT-anchored model)";
-  let rows = Costmodel.Tables.table2 () in
-  Printf.printf "%-28s %10s %10s %10s %10s\n" "per-core memory (entries)" "4-core" "8-core" "16-core" "48-core";
+(* Every registry entry, its claims recorded as gates — except for the
+   entries --fast shrinks: their claims are stated at paper scale. *)
+let paper_section () =
   List.iter
-    (fun (label, entries) ->
-      let get units field = field (Costmodel.Tables.find rows ~label ~units) in
-      Printf.printf "%s (%d entries)\n" label entries;
-      Printf.printf "%-28s %10.3f %10.3f %10.3f %10.3f\n" "  area (mm^2)"
-        (get 4 (fun r -> r.Costmodel.Tables.area_mm2))
-        (get 8 (fun r -> r.Costmodel.Tables.area_mm2))
-        (get 16 (fun r -> r.Costmodel.Tables.area_mm2))
-        (get 48 (fun r -> r.Costmodel.Tables.area_mm2));
-      Printf.printf "%-28s %10.3f %10.3f %10.3f %10.3f\n" "  power (W)"
-        (get 4 (fun r -> r.Costmodel.Tables.power_w))
-        (get 8 (fun r -> r.Costmodel.Tables.power_w))
-        (get 16 (fun r -> r.Costmodel.Tables.power_w))
-        (get 48 (fun r -> r.Costmodel.Tables.power_w)))
-    [ ("366MB/core", 183); ("512MB/core", 256); ("1024MB/core", 512) ];
-  Printf.printf "paper: 4-core area 0.045 / 0.060 / 0.163 mm^2; power 0.026 / 0.035 / 0.088 W\n"
-
-let table3 () =
-  header "Table 3: TLB banks on virtualized accelerators";
-  Printf.printf "%-26s %10s %10s %10s\n" "" "DPI(54e)" "ZIP(70e)" "RAID(5e)";
-  List.iter
-    (fun clusters ->
-      let row f = List.map (fun e -> float_of_int clusters *. f e) [ 54; 70; 5 ] in
-      (match row Costmodel.Tlb_cost.area_mm2 with
-      | [ d; z; r ] ->
-        Printf.printf "%-26s %10.3f %10.3f %10.3f\n" (Printf.sprintf "%d clusters, area mm^2" clusters) d z r
-      | _ -> ());
-      match row Costmodel.Tlb_cost.power_w with
-      | [ d; z; r ] -> Printf.printf "%-26s %10.3f %10.3f %10.3f\n" "            power W" d z r
-      | _ -> ())
-    [ 16; 8; 4 ];
-  Printf.printf "paper (16 clusters): area 0.074 / 0.091 / 0.050 mm^2\n"
-
-let table4 () =
-  header "Table 4: TLB banks on virtual packet pipelines and DMA";
-  Printf.printf "%-30s %12s %12s\n" "" "VPP (3e)" "DMA (2e)";
-  List.iter
-    (fun units ->
-      Printf.printf "%-30s %12.3f %12.3f\n"
-        (Printf.sprintf "%d units, area mm^2" units)
-        (float_of_int units *. Costmodel.Tlb_cost.area_mm2 3)
-        (float_of_int units *. Costmodel.Tlb_cost.area_mm2 2);
-      Printf.printf "%-30s %12.3f %12.3f\n" "        power W"
-        (float_of_int units *. Costmodel.Tlb_cost.power_w 3)
-        (float_of_int units *. Costmodel.Tlb_cost.power_w 2))
-    [ 12; 6; 3 ];
-  Printf.printf "paper (12 units): 0.037 mm^2 / 0.017 W each\n"
-
-let table5 () =
-  header "Table 5: per-core TLB cost vs page-size menu (48 cores)";
-  Printf.printf "%-34s %8s %12s %10s\n" "menu" "entries" "area mm^2" "power W";
-  List.iter
-    (fun (name, menu) ->
-      let entries = Memprof.Profiles.max_entries ~page_sizes:menu in
-      Printf.printf "%-34s %8d %12.3f %10.3f\n" name entries
-        (48. *. Costmodel.Tlb_cost.area_mm2 entries)
-        (48. *. Costmodel.Tlb_cost.power_w entries))
-    [
-      ("Equal (2MB)", Costmodel.Page_packing.equal_2mb);
-      ("Flex-low (128KB,2MB,64MB)", Costmodel.Page_packing.flex_low);
-      ("Flex-high (2MB,32MB,128MB)", Costmodel.Page_packing.flex_high);
-    ];
-  Printf.printf "paper: 183/0.538/0.311, 51/0.214/0.106, 13/0.150/0.069\n"
-
-let overhead_and_tco () =
-  header "Headline silicon overhead and TCO (Section 5.2)";
-  let b = Costmodel.Overhead.compute Costmodel.Overhead.headline in
-  Printf.printf "added area:  cores %.3f + accels %.3f + VPP/DMA %.3f = %.3f mm^2 -> +%.2f%% (paper 8.89%%)\n"
-    b.Costmodel.Overhead.core_area b.Costmodel.Overhead.accel_area b.Costmodel.Overhead.io_area
-    b.Costmodel.Overhead.total_area b.Costmodel.Overhead.area_overhead_pct;
-  Printf.printf "added power: cores %.3f + accels %.3f + VPP/DMA %.3f = %.3f W    -> +%.2f%% (paper 11.45%%)\n"
-    b.Costmodel.Overhead.core_power b.Costmodel.Overhead.accel_power b.Costmodel.Overhead.io_power
-    b.Costmodel.Overhead.total_power b.Costmodel.Overhead.power_overhead_pct;
-  let s = Costmodel.Tco.summary () in
-  Printf.printf "3-year TCO/core: LiquidIO $%.2f | S-NIC $%.2f | host Xeon $%.2f\n" s.Costmodel.Tco.nic_tco
-    s.Costmodel.Tco.snic_tco s.Costmodel.Tco.host_tco;
-  Printf.printf "TCO advantage: %.3fx -> %.3fx; reduction %.2f%% (paper 8.37%%), preserved %.1f%% (paper 91.6%%)\n"
-    s.Costmodel.Tco.advantage_nic s.Costmodel.Tco.advantage_snic s.Costmodel.Tco.advantage_reduction_pct
-    s.Costmodel.Tco.preserved_pct
-
-(* ------------------------------------------------------------------ *)
-(* Tables 6-8: memory profiles                                         *)
-(* ------------------------------------------------------------------ *)
-
-let table6 () =
-  header "Table 6: NF memory profiles and TLB sizing";
-  Printf.printf "%-5s %7s %7s %7s %9s %8s | %6s %8s %9s | %6s\n" "NF" "text" "data" "code" "heap+stk" "total"
-    "Equal" "Flex-low" "Flex-high" "MUR";
-  List.iter
-    (fun (p : Memprof.Profiles.t) ->
-      let e menu = Memprof.Profiles.tlb_entries p ~page_sizes:menu in
-      let mur = Memprof.Mur.find p.Memprof.Profiles.name in
-      Printf.printf "%-5s %7.2f %7.2f %7.2f %9.2f %8.2f | %6d %8d %9d | %5.1f%%\n" p.Memprof.Profiles.name
-        p.Memprof.Profiles.text_mb p.Memprof.Profiles.data_mb p.Memprof.Profiles.code_mb
-        p.Memprof.Profiles.heap_stack_mb (Memprof.Profiles.total_mb p)
-        (e Costmodel.Page_packing.equal_2mb) (e Costmodel.Page_packing.flex_low)
-        (e Costmodel.Page_packing.flex_high) mur.Memprof.Mur.mur_pct)
-    Memprof.Profiles.nfs;
-  print_endline "(region sizes are the paper's Rust-NF measurements; entries/MUR are recomputed)";
-  subheader "our OCaml NF structures, for comparison";
-  let rng = Trace.Rng.create ~seed:0xD1 in
-  let n_pat = Nf.Registry.dpi_patterns ~scale:(if fast then 0.1 else 1.0) in
-  let ac = Nf.Aho_corasick.build (Nf.Rulegen.dpi_patterns rng ~n:n_pat) in
-  Printf.printf "DPI automaton (%d patterns): %d states, %d transitions (paper graph: 97.28 MB)\n" n_pat
-    (Nf.Aho_corasick.state_count ac) (Nf.Aho_corasick.transition_count ac);
-  let lpm = Nf.Lpm.create () in
-  let rng = Trace.Rng.create ~seed:0x17 in
-  List.iter (fun (p, l, nh) -> Nf.Lpm.insert lpm ~prefix:p ~len:l nh) (Nf.Rulegen.routes rng ~n:16_000);
-  Printf.printf "LPM DIR-24-8: %.1f MB lookup tables, %d tbl8 blocks (paper heap: 64.90 MB)\n"
-    (float_of_int (Nf.Lpm.table_bytes lpm) /. 1048576.)
-    (Nf.Lpm.tbl8_blocks lpm)
-
-let table7 () =
-  header "Table 7: accelerator memory profiles";
-  List.iter
-    (fun (a : Memprof.Accel_profiles.t) ->
-      Printf.printf "%-5s total %8.2f MB -> %3d TLB entries @2MB pages   [%s]\n" a.Memprof.Accel_profiles.name
-        (Memprof.Accel_profiles.total_mb a) (Memprof.Accel_profiles.tlb_entries a)
-        (String.concat ", "
-           (List.map
-              (fun (n, b) -> Printf.sprintf "%s %.4gKB" n (float_of_int b /. 1024.))
-              a.Memprof.Accel_profiles.buffers)))
-    Memprof.Accel_profiles.all;
-  print_endline "paper: DPI 101.90 MB/54e, ZIP 132.24 MB/70e, RAID 8.13 MB/5e"
-
-let table8 () =
-  header "Table 8: memory utilization ratios";
-  Printf.printf "%-5s %14s %10s %8s\n" "NF" "prealloc (MB)" "used (MB)" "MUR";
-  List.iter
-    (fun (r : Memprof.Mur.row) ->
-      Printf.printf "%-5s %14.2f %10.2f %7.1f%%\n" r.Memprof.Mur.name r.Memprof.Mur.prealloc_mb
-        r.Memprof.Mur.used_mb r.Memprof.Mur.mur_pct)
-    (Memprof.Mur.table8 ());
-  print_endline "paper MURs: FW 100.0, DPI 100.0, NAT 72.3, LB 30.2, LPM 100.0, Mon 68.3"
-
-(* ------------------------------------------------------------------ *)
-(* Figure 5: IPC degradation                                           *)
-(* ------------------------------------------------------------------ *)
-
-let figure5a () =
-  header "Figure 5a: median IPC degradation vs L2 size (2 colocated NFs)";
-  let packets = if fast then 400 else 1500 in
-  let l2_sizes = if fast then [ 32 * 1024; 256 * 1024; 4 lsl 20 ] else Uarch.Colocation.default_l2_sizes in
-  let results = Uarch.Colocation.figure5a ~l2_sizes ~packets () in
-  let show_size s = if s >= 1 lsl 20 then Printf.sprintf "%dMB" (s lsr 20) else Printf.sprintf "%dKB" (s lsr 10) in
-  Printf.printf "%-8s" "L2";
-  List.iter (fun nf -> Printf.printf "%10s" nf) Uarch.Workload.names;
-  print_newline ();
-  List.iter
-    (fun size ->
-      Printf.printf "%-8s" (show_size size);
-      List.iter
-        (fun nf ->
-          let series = List.assoc nf results in
-          let s = List.assoc size series in
-          Printf.printf "%9.2f%%" s.Uarch.Colocation.median)
-        Uarch.Workload.names;
-      print_newline ())
-    l2_sizes;
-  print_endline "paper: small everywhere at big caches, growing as L2 shrinks; FW/DPI/NAT worst"
-
-let figure5b () =
-  header "Figure 5b: IPC degradation vs co-tenancy (4MB L2), median [p1..p99]";
-  let packets = if fast then 400 else 1500 in
-  let cotenancy = if fast then [ 2; 4; 16 ] else Uarch.Colocation.default_cotenancy in
-  let results = Uarch.Colocation.figure5b ~cotenancy ~samples:(if fast then 3 else 6) ~packets () in
-  Printf.printf "%-6s" "NFs";
-  List.iter (fun nf -> Printf.printf "%22s" nf) Uarch.Workload.names;
-  print_newline ();
-  List.iter
-    (fun n ->
-      Printf.printf "%-6d" n;
-      List.iter
-        (fun nf ->
-          let series = List.assoc nf results in
-          let s = List.assoc n series in
-          Printf.printf "  %6.2f%%[%5.2f;%5.2f]" s.Uarch.Colocation.median s.Uarch.Colocation.p1
-            s.Uarch.Colocation.p99)
-        Uarch.Workload.names;
-      print_newline ())
-    cotenancy;
-  let avg_at n =
-    Uarch.Colocation.mean
-      (List.map (fun nf -> (List.assoc n (List.assoc nf results)).Uarch.Colocation.median) Uarch.Workload.names)
-  in
-  List.iter
-    (fun (n, paper) ->
-      if List.mem n cotenancy then
-        Printf.printf "average median @%2d NFs: %5.2f%%  (paper %.2f%%)\n" n (avg_at n) paper)
-    [ (2, 0.24); (4, 0.93); (8, 3.41); (16, 9.44) ]
-
-(* ------------------------------------------------------------------ *)
-(* Figure 6: trusted instruction latency                               *)
-(* ------------------------------------------------------------------ *)
-
-let figure6 () =
-  header "Figure 6: nf_launch / nf_attest / nf_destroy latency (1.2 GHz NIC model)";
-  Printf.printf "%-5s | %-40s | %-7s | %-28s\n" "NF" "nf_launch: tlb + denylist + sha = total ms" "attest"
-    "nf_destroy: allow + scrub ms";
-  List.iter
-    (fun (p : Memprof.Profiles.t) ->
-      let l = Memprof.Instr_latency.launch p in
-      let d = Memprof.Instr_latency.destroy p in
-      Printf.printf "%-5s | %7.4f + %6.4f + %8.2f = %8.2f | %6.2f | %6.4f + %6.2f = %7.2f\n"
-        p.Memprof.Profiles.name l.Memprof.Instr_latency.tlb_setup_ms l.Memprof.Instr_latency.denylist_ms
-        l.Memprof.Instr_latency.sha_ms l.Memprof.Instr_latency.total_ms Memprof.Instr_latency.attest_ms
-        d.Memprof.Instr_latency.allowlist_ms d.Memprof.Instr_latency.scrub_ms d.Memprof.Instr_latency.total_ms)
-    Memprof.Profiles.nfs;
-  Printf.printf "paper anchors: LB sha 29.62ms, Mon sha 763.52ms, attest 5.6ms, Mon scrub ~54ms\n";
-  let buf = String.make (8 lsl 20) 'x' in
-  let t0 = Sys.time () in
-  ignore (Crypto.Sha256.digest buf);
-  let dt = Sys.time () -. t0 in
-  Printf.printf "(our software SHA-256 on this host: %.0f MB/s; model uses the NIC engine's %.0f MB/s)\n" (8. /. dt)
-    Memprof.Instr_latency.sha_mb_per_s
-
-(* ------------------------------------------------------------------ *)
-(* Figure 7: Monitor memory timeline                                   *)
-(* ------------------------------------------------------------------ *)
-
-let figure7 () =
-  header "Figure 7: Monitor memory usage over time (150s CAIDA-like replay)";
-  let series = Memprof.Timeline.monitor () in
-  let prealloc = match series with p :: _ -> p.Memprof.Timeline.prealloc_mb | [] -> 0. in
-  let width = 60 in
-  List.iter
-    (fun (p : Memprof.Timeline.point) ->
-      if Float.rem p.Memprof.Timeline.t_s 12.5 < 0.6 || p.Memprof.Timeline.used_mb > prealloc *. 0.95 then begin
-        let bar = int_of_float (p.Memprof.Timeline.used_mb /. prealloc *. float_of_int width) in
-        Printf.printf "%6.1fs |%s%s| %6.1f MB\n" p.Memprof.Timeline.t_s
-          (String.make (min bar width) '#')
-          (String.make (max 0 (width - bar)) ' ')
-          p.Memprof.Timeline.used_mb
+    (fun e ->
+      let out = Repro.run ~fast e and evaluated = not (fast && Repro.shrinks e) in
+      print_string (Repro.to_text e (if evaluated then out else { out with claims = [] }));
+      if evaluated then gate "paper." (Repro.claims e out)
+      else if out.claims <> [] then print_endline "(--fast shrinks this entry; its claims, stated at paper scale, are not evaluated)";
+      (* Host time, so never part of an entry. *)
+      if String.equal (Repro.id e) "fig6" then begin
+        let buf = String.make (8 lsl 20) 'x' in
+        let t0 = Sys.time () in
+        ignore (Crypto.Sha256.digest buf);
+        Printf.printf "(our software SHA-256 on this host: %.0f MB/s)\n" (8. /. (Sys.time () -. t0))
       end)
-    series;
-  Printf.printf "preallocation watermark: %.2f MB (flat line); steady state: %.2f MB; peak: %.2f MB\n" prealloc
-    (Memprof.Timeline.final_mb series) (Memprof.Timeline.peak_mb series);
-  Printf.printf "resize spikes visible: %d (paper: several HashMap doublings + hugepage init)\n"
-    (Memprof.Timeline.spike_count series)
-
-(* ------------------------------------------------------------------ *)
-(* Figure 8: DPI accelerator throughput                                *)
-(* ------------------------------------------------------------------ *)
-
-let figure8 () =
-  header "Figure 8: vDPI throughput vs cluster size and frame size";
-  Printf.printf "%-10s %8s %8s %8s %8s\n" "threads" "64B" "512B" "1.5KB" "9KB";
-  List.iter
-    (fun threads ->
-      Printf.printf "%-10d" threads;
-      List.iter
-        (fun frame -> Printf.printf " %7.3f" (Uarch.Figure8.simulate ~threads ~frame_bytes:frame ()))
-        Trace.Flowgen.figure8_frame_sizes;
-      print_newline ())
-    [ 16; 32; 48 ];
-  print_endline "(Mpps; small frames producer-bound ~1.07 Mpps flat, jumbo frames scale with threads)";
-  subheader "extension: the same sweep for the ZIP and RAID engines";
-  List.iter
-    (fun kind ->
-      Printf.printf "%-10s" (Nicsim.Accel.kind_name kind);
-      List.iter
-        (fun frame -> Printf.printf " %7.3f" (Uarch.Figure8.simulate ~kind ~threads:32 ~frame_bytes:frame ()))
-        Trace.Flowgen.figure8_frame_sizes;
-      print_newline ())
-    [ Nicsim.Accel.Zip; Nicsim.Accel.Raid ];
-  print_endline "(32 threads; RAID's cheap per-byte XOR keeps even jumbo frames producer-bound)"
-
-(* ------------------------------------------------------------------ *)
-(* §3.3 attacks                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let attacks_section () =
-  header "Section 3.3: concrete attacks across NIC architectures";
-  Printf.printf "%-26s | %-16s | %-16s\n" "NIC" "pkt corruption" "ruleset theft";
-  List.iter
-    (fun (name, corr, steal) ->
-      let s (o : Attacks.outcome) = if o.Attacks.succeeded then "SUCCEEDS" else "blocked" in
-      Printf.printf "%-26s | %-16s | %-16s\n" name (s corr) (s steal))
-    (Attacks.matrix ());
-  let ffa = Attacks.bus_dos Nicsim.Bus.Free_for_all in
-  let tp = Attacks.bus_dos (Nicsim.Bus.Temporal { epoch = 96; dead = 16 }) in
-  Printf.printf "bus DoS: free-for-all retains %.1f%% of victim throughput; temporal partitioning %.1f%%\n"
-    (100. *. ffa.Attacks.retained) (100. *. tp.Attacks.retained);
-  let cc_ffa = Attacks.bus_covert_channel Nicsim.Bus.Free_for_all in
-  let cc_tp = Attacks.bus_covert_channel (Nicsim.Bus.Temporal { epoch = 96; dead = 16 }) in
-  Printf.printf "bus covert channel (64-bit message): free-for-all decodes %.0f%%, temporal %.0f%% (chance = 50%%)\n"
-    (100. *. cc_ffa.Attacks.accuracy) (100. *. cc_tp.Attacks.accuracy);
-  let ac_sh = Attacks.accel_contention ~shared:true in
-  let ac_cl = Attacks.accel_contention ~shared:false in
-  Printf.printf
-    "accelerator probe: shared engine %d -> %d cycles when victim active (LEAKS); dedicated cluster %d -> %d (flat)\n"
-    ac_sh.Attacks.idle_latency ac_sh.Attacks.busy_latency ac_cl.Attacks.idle_latency ac_cl.Attacks.busy_latency;
-  subheader "deployment comparison: host-enclave NF (SafeBricks) vs S-NIC (the paper's motivation)";
-  Format.printf "  %a@." Attacks.Safebricks.pp_outcome (Attacks.Safebricks.safebricks_deployment ());
-  Format.printf "  %a@." Attacks.Safebricks.pp_outcome (Attacks.Safebricks.snic_deployment ())
-
-(* ------------------------------------------------------------------ *)
-(* Ablations                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let ablation_bus () =
-  subheader "ablation: bus arbitration policy (DoS resilience vs baseline cost)";
-  Printf.printf "%-34s %12s %14s %10s\n" "policy" "alone kpps" "attacked kpps" "retained";
-  let show name (r : Attacks.dos_result) =
-    Printf.printf "%-34s %12.0f %14.0f %9.1f%%\n" name (r.Attacks.alone_pps /. 1e3)
-      (r.Attacks.under_attack_pps /. 1e3) (100. *. r.Attacks.retained)
-  in
-  show "free-for-all" (Attacks.bus_dos Nicsim.Bus.Free_for_all);
-  List.iter
-    (fun (epoch, dead) ->
-      show
-        (Printf.sprintf "temporal epoch=%d dead=%d" epoch dead)
-        (Attacks.bus_dos (Nicsim.Bus.Temporal { epoch; dead })))
-    [ (96, 16); (192, 32); (384, 64) ]
-
-let ablation_cache () =
-  subheader "ablation: cache isolation mode (two side channels)";
-  (* Channel 1 (prime+probe): the victim's activity evicts the attacker's
-     primed lines. Channel 2 (flush+reload analog): the attacker touches
-     addresses the victim may have cached and observes hits — the leak a
-     soft, CAT-style write-only partition keeps (§4.2). *)
-  let prime_probe mode =
-    let run victim_active =
-      let c = Nicsim.Cache.create ~sets:64 ~ways:8 ~line_bits:6 ~mode ~domains:2 in
-      for i = 0 to 511 do
-        ignore (Nicsim.Cache.access c ~domain:0 ~addr:(i * 64))
-      done;
-      if victim_active then
-        for i = 0 to 1023 do
-          ignore (Nicsim.Cache.access c ~domain:1 ~addr:(0x800000 + (i * 64)))
-        done;
-      let misses = ref 0 in
-      for i = 0 to 511 do
-        if Nicsim.Cache.access c ~domain:0 ~addr:(i * 64) = Nicsim.Cache.Miss then incr misses
-      done;
-      !misses
-    in
-    run true - run false
-  in
-  let reload mode =
-    let run victim_active =
-      let c = Nicsim.Cache.create ~sets:64 ~ways:8 ~line_bits:6 ~mode ~domains:2 in
-      (* The victim touches a region the attacker can also name (e.g. a
-         shared library page). *)
-      if victim_active then
-        for i = 0 to 63 do
-          ignore (Nicsim.Cache.access c ~domain:1 ~addr:(0x400000 + (i * 64)))
-        done;
-      let hits = ref 0 in
-      for i = 0 to 63 do
-        if Nicsim.Cache.access c ~domain:0 ~addr:(0x400000 + (i * 64)) = Nicsim.Cache.Hit then incr hits
-      done;
-      !hits
-    in
-    run true - run false
-  in
-  Printf.printf "%-28s %18s %18s\n" "mode" "prime+probe" "reload-hit";
-  List.iter
-    (fun (name, mode) ->
-      let pp = prime_probe mode and rl = reload mode in
-      Printf.printf "%-28s %12d %5s %12d %5s\n" name pp
-        (if pp = 0 then "ok" else "LEAK")
-        rl
-        (if rl = 0 then "ok" else "LEAK"))
-    [
-      ("shared (commodity)", Nicsim.Cache.Shared);
-      ("soft / CAT-like", Nicsim.Cache.Soft);
-      ("hard (S-NIC)", Nicsim.Cache.Hard);
-      ("SecDCP dynamic", Nicsim.Cache.Secdcp);
-    ];
-  print_endline "(soft partitioning closes the eviction channel but keeps the reload channel: insufficient)"
-
-let ablation_pages () =
-  subheader "ablation: page-size menu (entries vs wasted DRAM, all six NFs)";
-  Printf.printf "%-30s %12s %14s\n" "menu" "max entries" "total waste MB";
-  List.iter
-    (fun (name, menu) ->
-      let entries = Memprof.Profiles.max_entries ~page_sizes:menu in
-      let waste =
-        List.fold_left
-          (fun acc p -> acc + Costmodel.Page_packing.waste ~page_sizes:menu (Memprof.Profiles.regions p))
-          0 Memprof.Profiles.nfs
-      in
-      Printf.printf "%-30s %12d %14.2f\n" name entries (float_of_int waste /. 1048576.))
-    [
-      ("Equal (2MB)", Costmodel.Page_packing.equal_2mb);
-      ("Flex-low (128KB,2MB,64MB)", Costmodel.Page_packing.flex_low);
-      ("Flex-high (2MB,32MB,128MB)", Costmodel.Page_packing.flex_high);
-    ]
-
-let ablation_isolation_decomposition () =
-  subheader "ablation: where the Figure-5 degradation comes from (8 NFs @4MB L2)";
-  let names = [ "FW"; "DPI"; "NAT"; "LB"; "LPM"; "Mon"; "FW"; "DPI" ] in
-  let streams =
-    Array.of_list
-      (List.mapi
-         (fun d n -> Uarch.Workload.rebase (Uarch.Workload.stream ~packets:(if fast then 400 else 1200) n) ~domain:d)
-         names)
-  in
-  let run isolation = Uarch.Cpu_model.run ~l2_bytes:(4 lsl 20) ~isolation streams in
-  let base = run Uarch.Cpu_model.Baseline in
-  let cache_only = run Uarch.Cpu_model.Cache_only in
-  let bus_only = run Uarch.Cpu_model.Bus_only in
-  let full = run Uarch.Cpu_model.Snic in
-  Printf.printf "%-6s %16s %16s %16s\n" "NF" "cache part. only" "bus part. only" "full S-NIC";
-  Array.iteri
-    (fun d (b : Uarch.Cpu_model.domain_result) ->
-      let deg (r : Uarch.Cpu_model.domain_result array) =
-        100. *. (1. -. (r.(d).Uarch.Cpu_model.ipc /. b.Uarch.Cpu_model.ipc))
-      in
-      Printf.printf "%-6s %15.2f%% %15.2f%% %15.2f%%\n" b.Uarch.Cpu_model.nf (deg cache_only) (deg bus_only)
-        (deg full))
-    base;
-  print_endline "(most of the cost is bus temporal partitioning; cache slicing matters for the big working sets)"
-
-let ablation_schedulers () =
-  subheader "ablation: VPP packet scheduler (1000-packet backlog, 10% privileged traffic)";
-  let open Nicsim in
-  let backlog () =
-    let rng = Trace.Rng.create ~seed:0x5C in
-    List.init 1000 (fun i ->
-        let privileged = Trace.Rng.int rng 10 = 0 in
-        let flow = Trace.Rng.int rng 16 in
-        let bytes = if flow < 4 then 1400 else 100 in
-        ( { Sched.flow; bytes; level = (if privileged then 0 else 1); weight = (if flow < 2 then 4 else 1) },
-          (i, privileged, bytes) ))
-  in
-  Printf.printf "%-22s %26s %26s\n" "policy" "mean privileged position" "small-pkt share of first half";
-  List.iter
-    (fun policy ->
-      let s = Sched.create policy in
-      List.iter (fun (meta, x) -> Sched.enqueue s meta x) (backlog ());
-      let order = Sched.drain s in
-      let prio_pos_sum = ref 0 and prio_n = ref 0 and small_first_half = ref 0 and small_total = ref 0 in
-      List.iteri
-        (fun pos (_, privileged, bytes) ->
-          if privileged then begin
-            prio_pos_sum := !prio_pos_sum + pos;
-            incr prio_n
-          end;
-          if bytes = 100 then begin
-            incr small_total;
-            if pos < 500 then incr small_first_half
-          end)
-        order;
-      Printf.printf "%-22s %26.1f %25.1f%%\n" (Sched.policy_name policy)
-        (float_of_int !prio_pos_sum /. float_of_int (max 1 !prio_n))
-        (100. *. float_of_int !small_first_half /. float_of_int (max 1 !small_total)))
-    [ Sched.Fifo; Sched.Priority { levels = 2 }; Sched.Drr { quantum = 512 }; Sched.Wfq ]
-
-let ablation_underutilization () =
-  subheader "ablation: the 4.8 underutilization trade-off (24h diurnal load)";
-  Printf.printf "%-34s %14s %8s\n" "provisioning policy" "avg utilization" "churn";
-  List.iter
-    (fun policy ->
-      let series = Memprof.Underutil.simulate policy in
-      Printf.printf "%-34s %13.1f%% %8d\n" (Memprof.Underutil.policy_name policy)
-        (100. *. Memprof.Underutil.avg_utilization series)
-        (Memprof.Underutil.churn series policy))
-    [
-      Memprof.Underutil.Static_peak;
-      Memprof.Underutil.Elastic { instance_mb = 120. };
-      Memprof.Underutil.Elastic { instance_mb = 60. };
-      Memprof.Underutil.Elastic { instance_mb = 30. };
-      Memprof.Underutil.Dynamic;
-    ];
-  print_endline "(creating/destroying fixed-size instances recovers most of the utilization";
-  print_endline " that S-NIC's no-resize rule forfeits, at the cost of launch/teardown churn)"
-
-let ablation_denylist () =
-  subheader "ablation: denylist as bitmap vs page-table walk (§4.1 footnote)";
-  let dram = 1 lsl 30 in
-  let pages = dram / 4096 in
-  Printf.printf "bitmap: %d KB of dedicated SRAM, 1-cycle check per TLB install\n" (pages / 8 / 1024);
-  Printf.printf "EPT-style walk: no dedicated SRAM, ~4 DRAM references (~%d cycles) per TLB install\n" (4 * 88);
-  print_endline "(the paper picks the walk: TLB installs are rare events, die area is precious)"
-
-let ablation_translation () =
-  subheader "ablation: locked variable-size TLB vs per-core page table (§4.2 alternate design)";
-  Printf.printf "%-5s %22s %26s %22s\n" "NF" "TLB entries (Equal)" "PT pages (4KB walker)" "translate cost";
-  List.iter
-    (fun (p : Memprof.Profiles.t) ->
-      let entries = Memprof.Profiles.tlb_entries p ~page_sizes:Costmodel.Page_packing.equal_2mb in
-      let bytes = Costmodel.Page_packing.mb (Memprof.Profiles.total_mb p) in
-      let pt_pages = Nicsim.Pagetable.table_pages_for ~vaddr:0 ~len:bytes in
-      Printf.printf "%-5s %22d %26d %13s/%8s\n" p.Memprof.Profiles.name entries pt_pages "0cy"
-        (Printf.sprintf "%dxDRAM" Nicsim.Pagetable.walk_dram_refs))
-    Memprof.Profiles.nfs;
-  Printf.printf "TLB: zero-latency hits, no misses by construction; +%.3f mm^2 per core at 183 entries\n"
-    (Costmodel.Tlb_cost.area_mm2 183);
-  print_endline "page table: no CAM silicon, but every TLB refill costs 2 DRAM walks and the tables live in the";
-  print_endline "function's RAM budget — the paper picks locked TLBs ('a typical implementation will not";
-  print_endline "associate a page table pointer with a programmable core')"
+    Repro.all
 
 (* ------------------------------------------------------------------ *)
 (* Chaos: recovery latency and goodput under gray failures             *)
@@ -728,17 +237,6 @@ let microbenches () =
       | Some [ ns ] -> Printf.printf "%-24s %12.1f ns/op\n" name ns
       | _ -> Printf.printf "%-24s (no estimate)\n" name)
     (List.sort compare rows)
-
-let offload_motivation () =
-  header "Offload motivation (Section 1): host NF vs NIC NF vs S-NIC NF";
-  Printf.printf "%-16s %14s %16s %14s\n" "deployment" "latency ns" "kpps per core" "$ per Mpps";
-  List.iter
-    (fun (r : Costmodel.Offload.result) ->
-      Printf.printf "%-16s %14.0f %16.0f %14.2f\n" r.Costmodel.Offload.deployment r.Costmodel.Offload.latency_ns
-        r.Costmodel.Offload.kpps_per_core r.Costmodel.Offload.usd_per_mpps)
-    (Costmodel.Offload.comparison ());
-  print_endline "(offload removes the PCIe round trip and halves $/Mpps; S-NIC's isolation";
-  print_endline " tax — 1.7% IPC worst-case + the silicon overhead — barely dents either)"
 
 (* ------------------------------------------------------------------ *)
 (* Fleet orchestration: placement policies on a heterogeneous rack     *)
@@ -1297,6 +795,7 @@ let par_section () =
    (name, banner, run). *)
 let sections =
   [
+    ("paper", "S-NIC paper bench (every table and figure, with the paper's values as claims)", paper_section);
     ("datapath", "S-NIC datapath bench (bulk fast paths vs per-byte baseline)", datapath_section);
     ("oracle", "S-NIC isolation oracle bench (differential fuzzing throughput)", oracle_section);
     ("vf", "S-NIC virtual-function bench (two-stage scheduler fairness at density)", vf_section);
@@ -1309,34 +808,10 @@ let sections =
 let main () =
   print_endline "S-NIC evaluation reproduction (EuroSys'24) — all tables and figures";
   if fast then print_endline "[--fast: reduced Figure 5 sweeps]";
-  table1 ();
-  table2 ();
-  table3 ();
-  table4 ();
-  table5 ();
-  overhead_and_tco ();
-  offload_motivation ();
-  table6 ();
-  table7 ();
-  table8 ();
-  figure5a ();
-  figure5b ();
-  figure6 ();
-  figure7 ();
-  figure8 ();
-  attacks_section ();
-  header "Ablations";
-  ablation_bus ();
-  ablation_cache ();
-  ablation_isolation_decomposition ();
-  ablation_pages ();
-  ablation_schedulers ();
-  ablation_underutilization ();
-  ablation_denylist ();
-  ablation_translation ();
+  paper_section ();
   fleet_section ();
   chaos_section ();
-  List.iter (fun (_, _, run) -> run ()) sections;
+  List.iter (fun (name, _, run) -> if name <> "paper" then run ()) sections;
   microbenches ()
 
 let () =

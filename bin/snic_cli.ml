@@ -1,13 +1,13 @@
 (* snic_cli: run individual S-NIC experiments from the command line.
 
-     snic_cli attacks                 — §3.3 attack matrix
+     snic_cli paper [ID]              — the paper's tables and figures as CSV
      snic_cli dos [--epoch N]         — IO-bus DoS under both arbiters
      snic_cli tco [--area P --power P]— TCO sensitivity
      snic_cli tlb --entries N         — TLB cost model query
      snic_cli pack --mb X [--menu M]  — page packing for a region
      snic_cli ipc [--l2 BYTES --nfs N]— one IPC-degradation run
      snic_cli dpi --threads N --frame B — one Figure-8 point
-     snic_cli timeline                — Figure 7 series as CSV
+     snic_cli fig5 [--nfs N]          — Figure 5b stats at one co-tenancy
      snic_cli fleet [--nics N ...]    — seeded multi-NIC fleet scenario
      snic_cli chaos [--intensity X ...] — gray-failure storm + self-healing
      snic_cli datapath [--bytes N]    — bulk vs per-byte Physmem probe
@@ -159,17 +159,6 @@ let run_telemetry (type c r) (module M : Fleet.Run.S with type config = c and ty
   Option.iter (fun path -> write_file ~cmd path (Fleet.Telemetry.prometheus telemetry)) metrics;
   exit_on_failed_gates cmd M.gates [| report |]
 
-let attacks_cmd =
-  let run () =
-    List.iter
-      (fun (name, corr, steal) ->
-        let s (o : Attacks.outcome) = if o.Attacks.succeeded then "SUCCEEDS" else "blocked" in
-        Printf.printf "%-26s corruption=%-9s theft=%-9s\n" name (s corr) (s steal))
-      (Attacks.matrix ())
-  in
-  Cmd.v (Cmd.info "attacks" ~doc:"Run the three §3.3 attacks across all NIC modes")
-    Term.(const run $ const ())
-
 let dos_cmd =
   let epoch =
     Arg.(value & opt (positive_int ~what:"EPOCH") 96 & info [ "epoch" ] ~doc:"Temporal partitioning epoch (cycles)")
@@ -286,60 +275,28 @@ let dpi_cmd =
   in
   Cmd.v (Cmd.info "dpi" ~doc:"One Figure-8 accelerator-throughput point") Term.(const run $ threads $ frame)
 
-let covert_cmd =
-  let run () =
-    let show name (r : Attacks.covert_result) =
-      Printf.printf "%-28s %d/%d bits decoded (%.0f%%)\n" name r.Attacks.decoded r.Attacks.bits
-        (100. *. r.Attacks.accuracy)
+(* The paper's tables and figures as CSV, from the registry that the
+   bench prints and EXPERIMENTS.md embeds; exit 1 on a failed claim. *)
+let paper_cmd =
+  let entry =
+    Arg.(value
+         & pos 0 (some (enum (List.map (fun e -> (Repro.id e, e)) Repro.all))) None
+         & info [] ~docv:"ID" ~doc:"Print only this entry (default: every entry, in order)")
+  in
+  let run entry =
+    let print e =
+      let out = Repro.run ~fast:false e in
+      print_string (Repro.to_csv e out);
+      Repro.claims e out
     in
-    show "free-for-all" (Attacks.bus_covert_channel Nicsim.Bus.Free_for_all);
-    show "temporal(96,16)" (Attacks.bus_covert_channel (Nicsim.Bus.Temporal { epoch = 96; dead = 16 }))
+    exit_on_failed_gates "paper" Fun.id [| List.concat_map print (Option.fold ~none:Repro.all ~some:(fun e -> [ e ]) entry) |]
   in
-  Cmd.v (Cmd.info "covert" ~doc:"Bus covert-channel experiment") Term.(const run $ const ())
-
-let probe_cmd =
-  let run () =
-    let show (r : Attacks.accel_probe_result) =
-      Printf.printf "%-22s idle %6d cycles, victim-active %6d cycles -> %s\n"
-        (if r.Attacks.shared then "shared accelerator" else "dedicated cluster")
-        r.Attacks.idle_latency r.Attacks.busy_latency
-        (if r.Attacks.distinguishable then "LEAKS" else "flat")
-    in
-    show (Attacks.accel_contention ~shared:true);
-    show (Attacks.accel_contention ~shared:false)
-  in
-  Cmd.v (Cmd.info "probe" ~doc:"Accelerator-contention side channel") Term.(const run $ const ())
-
-let overhead_cmd =
-  let run () =
-    let b = Costmodel.Overhead.compute Costmodel.Overhead.headline in
-    Printf.printf "area: +%.2f%% (cores %.3f, accels %.3f, io %.3f mm^2)\n" b.Costmodel.Overhead.area_overhead_pct
-      b.Costmodel.Overhead.core_area b.Costmodel.Overhead.accel_area b.Costmodel.Overhead.io_area;
-    Printf.printf "power: +%.2f%% (cores %.3f, accels %.3f, io %.3f W)\n" b.Costmodel.Overhead.power_overhead_pct
-      b.Costmodel.Overhead.core_power b.Costmodel.Overhead.accel_power b.Costmodel.Overhead.io_power
-  in
-  Cmd.v (Cmd.info "overhead" ~doc:"Headline silicon overhead (8.89%/11.45%)") Term.(const run $ const ())
-
-let table6_cmd =
-  let run () =
-    print_endline "nf,text_mb,data_mb,code_mb,heap_mb,total_mb,equal,flex_low,flex_high,mur_pct";
-    List.iter
-      (fun (p : Memprof.Profiles.t) ->
-        let e menu = Memprof.Profiles.tlb_entries p ~page_sizes:menu in
-        let mur = Memprof.Mur.find p.Memprof.Profiles.name in
-        Printf.printf "%s,%.2f,%.2f,%.2f,%.2f,%.2f,%d,%d,%d,%.1f\n" p.Memprof.Profiles.name
-          p.Memprof.Profiles.text_mb p.Memprof.Profiles.data_mb p.Memprof.Profiles.code_mb
-          p.Memprof.Profiles.heap_stack_mb (Memprof.Profiles.total_mb p)
-          (e Costmodel.Page_packing.equal_2mb) (e Costmodel.Page_packing.flex_low)
-          (e Costmodel.Page_packing.flex_high) mur.Memprof.Mur.mur_pct)
-      Memprof.Profiles.nfs
-  in
-  Cmd.v (Cmd.info "table6" ~doc:"Table 6 NF memory profiles as CSV") Term.(const run $ const ())
+  Cmd.v (Cmd.info "paper" ~doc:"The paper's tables and figures as CSV, with its values as checked claims") Term.(const run $ entry)
 
 let fig5_cmd =
   let cotenancy = Arg.(value & opt cotenancy_int 4 & info [ "nfs" ] ~doc:"Co-tenancy degree (1-16)") in
   let packets =
-    Arg.(value & opt (positive_int ~what:"PACKETS") 800 & info [ "packets" ] ~doc:"Packets per stream")
+    Arg.(value & opt (positive_int ~what:"PACKETS") Repro.fig5b.packets & info [ "packets" ] ~doc:"Packets per stream")
   in
   let run cotenancy packets seed =
     print_endline "nf,cotenancy,median_pct,p1_pct,p99_pct";
@@ -350,31 +307,10 @@ let fig5_cmd =
             Printf.printf "%s,%d,%.3f,%.3f,%.3f\n" nf n s.Uarch.Colocation.median s.Uarch.Colocation.p1
               s.Uarch.Colocation.p99)
           series)
-      (Uarch.Colocation.figure5b ~cotenancy:[ cotenancy ] ~samples:4 ~packets ?seed ())
+      (Uarch.Colocation.figure5b ~cotenancy:[ cotenancy ] ~samples:Repro.fig5b.samples ~packets ?seed ())
   in
   Cmd.v (Cmd.info "fig5" ~doc:"Figure 5b IPC-degradation stats as CSV")
     Term.(const run $ cotenancy $ packets $ seed_arg)
-
-let fig8_cmd =
-  let run () =
-    print_endline "threads,frame_bytes,mpps";
-    List.iter
-      (fun (p : Uarch.Figure8.point) ->
-        Printf.printf "%d,%d,%.4f\n" p.Uarch.Figure8.threads p.Uarch.Figure8.frame_bytes p.Uarch.Figure8.mpps)
-      (Uarch.Figure8.figure8 ())
-  in
-  Cmd.v (Cmd.info "fig8" ~doc:"Figure 8 vDPI throughput as CSV") Term.(const run $ const ())
-
-let timeline_cmd =
-  let run () =
-    print_endline "t_s,used_mb,prealloc_mb";
-    List.iter
-      (fun (p : Memprof.Timeline.point) ->
-        Printf.printf "%.2f,%.2f,%.2f\n" p.Memprof.Timeline.t_s p.Memprof.Timeline.used_mb
-          p.Memprof.Timeline.prealloc_mb)
-      (Memprof.Timeline.monitor ())
-  in
-  Cmd.v (Cmd.info "timeline" ~doc:"Figure 7 Monitor memory series as CSV") Term.(const run $ const ())
 
 (* fleet and chaos: a placement policy name, parsed by
    Fleet.Policy.of_string so a typo lists the valid names and exits
@@ -855,7 +791,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            attacks_cmd; dos_cmd; covert_cmd; probe_cmd; tco_cmd; overhead_cmd; tlb_cmd; pack_cmd; table6_cmd;
-            ipc_cmd; dpi_cmd; fig5_cmd; fig8_cmd; timeline_cmd; fleet_cmd; chaos_cmd; datapath_cmd; oracle_cmd;
-            vf_cmd; qos_cmd; ddos_cmd; fabric_cmd; trace_cmd;
+            paper_cmd; dos_cmd; tco_cmd; tlb_cmd; pack_cmd; ipc_cmd; dpi_cmd; fig5_cmd; fleet_cmd; chaos_cmd;
+            datapath_cmd; oracle_cmd; vf_cmd; qos_cmd; ddos_cmd; fabric_cmd; trace_cmd;
           ]))

@@ -1,6 +1,6 @@
 (** Structured generators for the silicon-cost tables (2–4) and the
-    Table 5 rows, so benches, the CLI and tests all consume one source of
-    truth instead of re-deriving multiplications. *)
+    Table 5 rows, which lib/repro and the tests read instead of
+    re-deriving multiplications. *)
 
 type row = {
   label : string;
@@ -23,5 +23,5 @@ val table4 : unit -> row list
     entry count comes from profiling, see [Memprof.Profiles]). *)
 val table5_row : label:string -> entries:int -> cores:int -> row
 
-(** [find rows ~label ~units] — lookup helper for tests. *)
+(** [find rows ~label ~units] — one row, or [Invalid_argument]. *)
 val find : row list -> label:string -> units:int -> row

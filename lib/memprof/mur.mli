@@ -13,7 +13,7 @@ type row = {
   mur_pct : float;
 }
 
-(** All six NFs, paper order. *)
+(** The paper's six NFs in its order, then CKF and SYNP. *)
 val table8 : unit -> row list
 
 val find : string -> row

@@ -1,5 +1,5 @@
-(** Memory-usage profiles of the six evaluation NFs (Table 6 / Appendix B)
-    and the derived TLB sizing.
+(** Memory-usage profiles of the paper's six evaluation NFs (Table 6 /
+    Appendix B) and the CuckooGuard pair, and the derived TLB sizing.
 
     The region sizes are the paper's measurements of its Rust NFs (with
     the §5.1 parameters); they are the *inputs* to the reproduced
@@ -14,7 +14,8 @@ type t = {
   heap_stack_mb : float;
 }
 
-(** FW, DPI, NAT, LB, LPM, Mon — in the paper's order. *)
+(** FW, DPI, NAT, LB, LPM, Mon in the paper's order, then CKF and SYNP
+    (not in the paper's Table 6). *)
 val nfs : t list
 
 val find : string -> t
@@ -26,6 +27,6 @@ val regions : t -> int list
 (** [tlb_entries t ~page_sizes] — Table 6's right-hand columns. *)
 val tlb_entries : t -> page_sizes:int list -> int
 
-(** [max_entries ~page_sizes] over all six NFs — what Table 5 sizes the
-    per-core TLB by. *)
+(** [max_entries ~page_sizes] over all eight NFs — what Table 5 sizes the
+    per-core TLB by (CKF and SYNP never set the maximum). *)
 val max_entries : page_sizes:int list -> int

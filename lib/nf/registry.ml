@@ -63,6 +63,8 @@ let all =
     { short = "SYNP"; description = "SYN-cookie split proxy, cuckoo-filter whitelist"; build = build_synp };
   ]
 
+let paper = List.filteri (fun i _ -> i < 6) all
+
 let short_names () = String.concat ", " (List.map (fun s -> s.short) all)
 
 let find short =

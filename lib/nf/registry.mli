@@ -14,6 +14,9 @@ type spec = {
     SYN-cookie split proxy). *)
 val all : spec list
 
+(** The paper's six NFs, [all]'s first six: what lib/repro's claims cover. *)
+val paper : spec list
+
 (** Comma-separated valid short names (for error messages and usage). *)
 val short_names : unit -> string
 

@@ -1,4 +1,4 @@
-type rule = At_least of float | At_most of float | Equals of float
+type rule = At_least of float | At_most of float | Equals of float | Within of { target : float; tol : float }
 type t = { key : string; value : float option; rule : rule }
 
 let int n = Some (float_of_int n)
@@ -10,19 +10,20 @@ let holds g =
   | Some v, At_least b -> v >= b
   | Some v, At_most b -> v <= b
   | Some v, Equals b -> v = b
+  | Some v, Within { target; tol } -> Float.abs (v -. target) <= tol
 
 let failed gates = List.filter (fun g -> not (holds g)) gates
 
+let rule_to_string = function
+  | At_least b -> Printf.sprintf ">= %g" b
+  | At_most b -> Printf.sprintf "<= %g" b
+  | Equals b -> Printf.sprintf "= %g" b
+  | Within { target; tol } -> Printf.sprintf "within %g of %g" tol target
+
 let to_string g =
-  let rule =
-    match g.rule with
-    | At_least b -> Printf.sprintf ">= %g" b
-    | At_most b -> Printf.sprintf "<= %g" b
-    | Equals b -> Printf.sprintf "= %g" b
-  in
   match g.value with
-  | None -> Printf.sprintf "%s missing, must be %s" g.key rule
-  | Some v -> Printf.sprintf "%s = %g, must be %s" g.key v rule
+  | None -> Printf.sprintf "%s missing, must be %s" g.key (rule_to_string g.rule)
+  | Some v -> Printf.sprintf "%s = %g, must be %s" g.key v (rule_to_string g.rule)
 
 type parse_error = Unterminated_key of int | Bad_number of { key : string; text : string }
 

@@ -10,6 +10,7 @@ type rule =
   | At_least of float
   | At_most of float
   | Equals of float  (** flags are 0/1, so [Equals 1.] means "must hold" *)
+  | Within of { target : float; tol : float }  (** the value is at most [tol] from [target] *)
 
 type t = { key : string; value : float option; rule : rule }
 (** [value = None] — the figure does not exist in this run (e.g. a
@@ -26,6 +27,8 @@ val holds : t -> bool
 
 val failed : t list -> t list
 (** The entries that do not hold, in list order. *)
+
+val rule_to_string : rule -> string (** [">= 0.9"], ["<= 5"], ["= 1"] or ["within 0.001 of 0.045"]. *)
 
 val to_string : t -> string
 (** ["key = 0.85, must be >= 0.9"], or ["key missing, must be >= 0.9"]. *)

@@ -17,14 +17,14 @@ type t = {
 }
 
 (** [stream ?packets ?seed name] builds (and memoizes) the stream for one
-    of the six NFs. DPI builds its full 33,471-pattern automaton once. *)
+    of the eight NFs in {!names}. DPI builds its full 33,471-pattern automaton once. *)
 val stream : ?packets:int -> ?seed:int -> string -> t
 
 (** [rebase t ~domain] shifts every address into a disjoint per-domain
     window so colocated instances never alias. *)
 val rebase : t -> domain:int -> t
 
-(** All six NF names in paper order. *)
+(** The paper's six NF names in its order, then CKF and SYNP. *)
 val names : string list
 
 (** Modeled working-set bytes of the primary region (for tests). *)

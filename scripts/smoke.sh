@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI smoke checks, one section per matrix job:
 #
-#   sh scripts/smoke.sh fleet|chaos|bench|oracle|vf|qos|par|ddos|fabric
+#   sh scripts/smoke.sh fleet|chaos|bench|oracle|vf|qos|par|ddos|fabric|paper
 #
 # A scenario subcommand exits 1 when its report fails one of its own
 # gates, so running it on the pinned seed is the gate. On top of that a
@@ -13,9 +13,9 @@ set -eu
 cd "$(dirname "$0")/.."
 
 case "${1:-}" in
-  fleet | chaos | bench | oracle | vf | qos | par | ddos | fabric) section=$1 ;;
+  fleet | chaos | bench | oracle | vf | qos | par | ddos | fabric | paper) section=$1 ;;
   *)
-    echo "usage: sh scripts/smoke.sh fleet|chaos|bench|oracle|vf|qos|par|ddos|fabric" >&2
+    echo "usage: sh scripts/smoke.sh fleet|chaos|bench|oracle|vf|qos|par|ddos|fabric|paper" >&2
     exit 2
     ;;
 esac
@@ -249,5 +249,21 @@ fabric)
   # alphabet.
   "$cli" oracle --mode snic --ops 20000 --seed 42 --fabric-ops --expect clean
   bench_check fabric
+  ;;
+
+paper)
+  # Every table and figure of the paper at paper scale; the CLI exits 1
+  # on any failed claim. EXPERIMENTS.md embeds each entry's CSV after a
+  # `<!-- repro:ID -->` line, in registry order, so the blocks put
+  # together must be this output byte for byte (dune runtest checks the
+  # entries --fast does not shrink; this covers Figure 5 and the rest).
+  "$cli" paper > "$art/paper.csv"
+  awk '/^<!-- repro:/ { want = 1; next }
+       want && /^```csv$/ { inside = 1; want = 0; next }
+       inside && /^```$/ { inside = 0; next }
+       inside' EXPERIMENTS.md > "$art/experiments.csv"
+  diff "$art/experiments.csv" "$art/paper.csv" \
+    || { echo "::error::EXPERIMENTS.md differs from snic_cli paper"; exit 1; }
+  echo "every claim holds; EXPERIMENTS.md matches the registry"
   ;;
 esac

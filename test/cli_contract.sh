@@ -35,7 +35,7 @@ check_bad_flag() {
   esac
 }
 
-for sub in fleet chaos trace datapath oracle vf qos ddos fabric attacks; do
+for sub in fleet chaos trace datapath oracle vf qos ddos fabric paper; do
   check_help "$sub"
   check_bad_flag "$sub"
 done
@@ -173,6 +173,22 @@ case "$err" in
   *) fail "'ipc --nf NOPE' error does not list the valid NF short names" ;;
 esac
 
+# An unknown paper entry id is a cmdliner enum error (124 + usage) that
+# lists the registry's ids.
+set +e
+err=$("$cli" paper no-such-id 2>&1 > /dev/null)
+status=$?
+set -e
+[ "$status" -eq 124 ] || fail "'paper no-such-id' exited $status, want 124"
+case "$err" in
+  *Usage:*) : ;;
+  *) fail "'paper no-such-id' printed no usage line" ;;
+esac
+case "$err" in
+  *table1*fig5b*ablation-translation*) : ;;
+  *) fail "'paper no-such-id' error does not list the valid entry ids" ;;
+esac
+
 # Flag values outside what the models accept are cmdliner conv errors
 # (124 + usage), not an uncaught Invalid_argument (125) from deep in a run.
 for args in "dpi --threads 0" "ipc --nfs 0" "ipc --nfs 17" "fig5 --nfs 0" "fig5 --nfs 17" "fig5 --packets 0" \
@@ -280,4 +296,4 @@ if [ -n "$bench" ]; then
   [ "$status" -eq 1 ] || fail "'bench --only oracle --check' on a datapath baseline exited $status, want 1"
 fi
 
-echo "cli contract holds (fleet chaos trace datapath oracle vf qos ddos fabric attacks; --domains; --nf; --policy; model ranges; output files; bench --only, --seed, --check, --json)"
+echo "cli contract holds (fleet chaos trace datapath oracle vf qos ddos fabric paper; paper ids; --domains; --nf; --policy; model ranges; output files; bench --only, --seed, --check, --json)"

@@ -18,6 +18,7 @@ let () =
       ("costmodel", Test_costmodel.suite);
       ("memprof", Test_memprof.suite);
       ("uarch", Test_uarch.suite);
+      ("repro", Test_repro.suite);
       ("accelfn", Test_accelfn.suite);
       ("fleet", Test_fleet.suite);
       ("faults", Test_faults.suite);

@@ -338,14 +338,24 @@ let test_gate_rules () =
   check "at_most above" false (holds (At_most 2000.) (Some 2000.5));
   check "equals hit" true (holds (Equals 1.) (Obs.Gate.flag true));
   check "equals miss" false (holds (Equals 0.) (Obs.Gate.int 1));
+  check "within inside" true (holds (Within { target = 0.045; tol = 0.001 }) (Some 0.0448));
+  check "within boundary is inclusive" true (holds (Within { target = 1.; tol = 0.5 }) (Some 0.5));
+  check "within outside" false (holds (Within { target = 0.045; tol = 0.001 }) (Some 0.0461));
   List.iter
     (fun rule -> check "a missing value fails every rule" false (holds rule None))
-    [ At_least neg_infinity; At_most infinity; Equals 0. ];
+    [ At_least neg_infinity; At_most infinity; Equals 0.; Within { target = 0.; tol = infinity } ];
   let g key value rule = { Obs.Gate.key; value; rule } in
-  let gates = [ g "a" (Some 1.) (Equals 1.); g "b" None (At_most 5.); g "c" (Some 0.5) (At_least 0.9) ] in
+  let gates =
+    [
+      g "a" (Some 1.) (Equals 1.);
+      g "b" None (At_most 5.);
+      g "c" (Some 0.5) (At_least 0.9);
+      g "d" (Some 2.) (Within { target = 1.; tol = 0.5 });
+    ]
+  in
   Alcotest.(check (list string))
     "failed keeps list order and only the failures"
-    [ "b missing, must be <= 5"; "c = 0.5, must be >= 0.9" ]
+    [ "b missing, must be <= 5"; "c = 0.5, must be >= 0.9"; "d = 2, must be within 0.5 of 1" ]
     (List.map Obs.Gate.to_string (Obs.Gate.failed gates))
 
 let test_gate_baseline () =

@@ -42,6 +42,63 @@ let op_roundtrip =
       | Ok op' -> Op.equal op op'
       | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e)
 
+(* Any string, and any known verb followed by arbitrary key=value words,
+   decodes to Ok or Error without raising, and every Ok op re-encodes
+   through to_line to the same op.  A third of the lines are a real op's
+   line with up to two values swapped for odd spellings ("+3", "0x1f",
+   "1_0"), so that Ok cases are common. *)
+let arbitrary_line =
+  let open QCheck.Gen in
+  let word = string_size ~gen:printable (0 -- 8) in
+  let pick known = oneof [ oneofl known; word ] in
+  let value =
+    pick [ "0"; "1"; "7"; "255"; "256"; "-1"; "+3"; "0x1f"; "1_0"; "4611686018427387904"; "os"; "virt"; "phys"; "graph";
+           "iq"; "to-host"; "to-nic"; "bus"; "dma"; "accel"; "" ]
+  in
+  let field =
+    map2
+      (fun k v -> k ^ "=" ^ v)
+      (pick [ "slot"; "kb"; "accel"; "rules"; "actor"; "target"; "space"; "off"; "len"; "byte"; "reg"; "value"; "dir";
+              "src"; "dst"; "pad"; "weight"; "res"; "cost"; "window" ])
+      value
+  in
+  let command =
+    map2
+      (fun verb fields -> String.concat " " (verb :: fields))
+      (oneofl [ "launch"; "teardown"; "read"; "write"; "mmio"; "dma"; "stream"; "inject"; "attest"; "vfattach";
+                "vfdetach"; "vfdoorbell"; "vfqread"; "qos"; "chanopen"; "chansend"; "chanreplay" ])
+      (list_size (0 -- 7) field)
+  in
+  let mutated =
+    map2
+      (fun seed edits ->
+        let words =
+          Array.of_list
+            (String.split_on_char ' '
+               (Op.to_line (Op.gen ~fabric:true (Trace.Rng.create ~seed) ~slots:Campaign.default_slots)))
+        in
+        List.iter
+          (fun (i, v) ->
+            let i = 1 + (i mod max 1 (Array.length words - 1)) in
+            match String.index_opt words.(i) '=' with
+            | Some j -> words.(i) <- String.sub words.(i) 0 (j + 1) ^ v
+            | None -> ())
+          edits;
+        String.concat " " (Array.to_list words))
+      int
+      (list_size (0 -- 2) (pair nat value))
+  in
+  QCheck.make ~print:(Printf.sprintf "%S") (oneof [ string_size (0 -- 80); command; mutated ])
+
+let of_line_total =
+  QCheck.Test.make ~name:"of_line: Ok or Error on any line, Ok re-encodes to itself" ~count:5000 arbitrary_line (fun line ->
+      match Op.of_line line with
+      | Error _ -> true
+      | Ok op -> (
+        match Op.of_line (Op.to_line op) with
+        | Ok op' -> Op.equal op op'
+        | Error e -> QCheck.Test.fail_reportf "to_line output rejected: %s" e))
+
 let test_of_line_rejects () =
   List.iter
     (fun line ->
@@ -267,4 +324,5 @@ let suite =
     Alcotest.test_case "shrinker minimizes to <= 10 ops" `Quick test_shrinker_minimizes;
     Alcotest.test_case "canonical replays: commodity vs snic" `Quick test_replays_commodity_vs_snic;
     Alcotest.test_case "replays agree with imperative attacks" `Quick test_replays_agree_with_imperative_attacks;
+    QCheck_alcotest.to_alcotest of_line_total;
   ]
