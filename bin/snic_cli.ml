@@ -321,20 +321,25 @@ let policy_arg =
   Arg.(value & opt (conv (parse, print)) Fleet.Policy.First_fit
        & info [ "policy" ] ~docv:"POLICY" ~doc:"Placement policy: first-fit|best-fit|spread|tco-aware")
 
+(* Each scenario flag's default is a field of the scenario's
+   [default_config], so the default is stated once. *)
 let fleet_cmd =
-  let nics = Arg.(value & opt int 16 & info [ "nics" ] ~doc:"NICs in the rack") in
-  let tenants = Arg.(value & opt int 64 & info [ "tenants" ] ~doc:"Tenant NFs to place") in
-  let rounds = Arg.(value & opt int 3 & info [ "rounds" ] ~doc:"Traffic rounds (failures strike between them)") in
-  let packets = Arg.(value & opt int 600 & info [ "packets" ] ~doc:"Packets replayed per round") in
-  let kill_nics = Arg.(value & opt int 2 & info [ "kill-nics" ] ~doc:"NIC failures injected over the run") in
-  let kill_nfs = Arg.(value & opt int 4 & info [ "kill-nfs" ] ~doc:"Orderly NF kills injected over the run") in
+  let d = Fleet.Scenario.default_config in
+  let nics = Arg.(value & opt int d.n_nics & info [ "nics" ] ~doc:"NICs in the rack") in
+  let tenants = Arg.(value & opt int d.n_tenants & info [ "tenants" ] ~doc:"Tenant NFs to place") in
+  let rounds =
+    Arg.(value & opt int d.rounds
+         & info [ "rounds" ] ~doc:"Traffic rounds (failures strike between them)")
+  in
+  let packets = Arg.(value & opt int d.packets_per_round & info [ "packets" ] ~doc:"Packets replayed per round") in
+  let kill_nics = Arg.(value & opt int d.kill_nics & info [ "kill-nics" ] ~doc:"NIC failures injected over the run") in
+  let kill_nfs = Arg.(value & opt int d.kill_nfs & info [ "kill-nfs" ] ~doc:"Orderly NF kills injected over the run") in
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit per-tenant and per-NIC telemetry as CSV") in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the full telemetry tree as JSON") in
   let run seed nics tenants policy rounds packets kill_nics kill_nfs csv json metrics domains shards =
     let config =
       {
-        Fleet.Scenario.default_config with
-        Fleet.Scenario.seed = Option.value seed ~default:Fleet.Scenario.default_config.Fleet.Scenario.seed;
+        Fleet.Scenario.seed = Option.value seed ~default:d.seed;
         n_nics = nics;
         n_tenants = tenants;
         policy;
@@ -369,27 +374,32 @@ let fleet_cmd =
       $ metrics_arg $ domains_arg $ shards_arg)
 
 let chaos_cmd =
-  let nics = Arg.(value & opt int 8 & info [ "nics" ] ~doc:"NICs in the rack") in
-  let tenants = Arg.(value & opt int 24 & info [ "tenants" ] ~doc:"Tenant NFs to place") in
-  let rounds = Arg.(value & opt int 6 & info [ "rounds" ] ~doc:"Traffic rounds under the storm") in
-  let packets = Arg.(value & opt int 400 & info [ "packets" ] ~doc:"Packets replayed per round") in
+  let d = Fleet.Chaos.default_config in
+  let nics = Arg.(value & opt int d.n_nics & info [ "nics" ] ~doc:"NICs in the rack") in
+  let tenants = Arg.(value & opt int d.n_tenants & info [ "tenants" ] ~doc:"Tenant NFs to place") in
+  let rounds = Arg.(value & opt int d.rounds & info [ "rounds" ] ~doc:"Traffic rounds under the storm") in
+  let packets = Arg.(value & opt int d.packets_per_round & info [ "packets" ] ~doc:"Packets replayed per round") in
   let intensity =
-    Arg.(value & opt float 3.0 & info [ "intensity" ] ~doc:"Fault-rate multiplier on the storm NICs")
+    Arg.(value & opt float d.intensity
+         & info [ "intensity" ] ~doc:"Fault-rate multiplier on the storm NICs")
   in
   let stride =
-    Arg.(value & opt int 3 & info [ "stride" ] ~doc:"Every k-th NIC gets the full storm (0 = none)")
+    Arg.(value & opt int d.flaky_stride
+         & info [ "stride" ] ~doc:"Every k-th NIC gets the full storm (0 = none)")
   in
-  let flips = Arg.(value & opt int 2 & info [ "flips" ] ~doc:"DRAM bit flips injected per round") in
-  let kill_nics = Arg.(value & opt int 1 & info [ "kill-nics" ] ~doc:"Fail-stop NIC kills over the run") in
-  let kill_nfs = Arg.(value & opt int 2 & info [ "kill-nfs" ] ~doc:"Orderly NF kills over the run") in
+  let flips =
+    Arg.(value & opt int d.dram_flips_per_round
+         & info [ "flips" ] ~doc:"DRAM bit flips injected per round")
+  in
+  let kill_nics = Arg.(value & opt int d.kill_nics & info [ "kill-nics" ] ~doc:"Fail-stop NIC kills over the run") in
+  let kill_nfs = Arg.(value & opt int d.kill_nfs & info [ "kill-nfs" ] ~doc:"Orderly NF kills over the run") in
   let log = Arg.(value & flag & info [ "log" ] ~doc:"Print the replayable fault-injection log") in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the full telemetry tree as JSON") in
   let run seed nics tenants policy rounds packets intensity stride flips kill_nics kill_nfs log json metrics
       domains shards =
     let config =
       {
-        Fleet.Chaos.default_config with
-        Fleet.Chaos.seed = Option.value seed ~default:Fleet.Chaos.default_config.Fleet.Chaos.seed;
+        Fleet.Chaos.seed = Option.value seed ~default:d.seed;
         n_nics = nics;
         n_tenants = tenants;
         policy;
@@ -605,12 +615,18 @@ let oracle_cmd =
 
 let vf_cmd =
   let nics = Arg.(value & opt int 1 & info [ "nics" ] ~docv:"N" ~doc:"Independent NICs to drive") in
-  let vfs = Arg.(value & opt int 256 & info [ "vfs" ] ~docv:"K" ~doc:"Virtual functions per NIC") in
+  let vfs =
+    Arg.(value & opt int Vf.Table.default_config.vfs
+         & info [ "vfs" ] ~docv:"K" ~doc:"Virtual functions per NIC")
+  in
   let cycles =
     Arg.(value & opt int 32
          & info [ "cycles" ] ~docv:"C" ~doc:"Stage-1 scheduler rotations to serve (convergence depth)")
   in
-  let quantum = Arg.(value & opt int 1024 & info [ "quantum" ] ~docv:"BYTES" ~doc:"Stage-1 byte quantum per weight unit") in
+  let quantum =
+    Arg.(value & opt int Vf.Table.default_config.quantum
+         & info [ "quantum" ] ~docv:"BYTES" ~doc:"Stage-1 byte quantum per weight unit")
+  in
   let shares = Arg.(value & flag & info [ "shares" ] ~doc:"Print the per-tenant share table of the first NIC") in
   let run seed nics vfs cycles quantum shares =
     let seed = Option.value seed ~default:42 in
@@ -629,18 +645,23 @@ let vf_cmd =
     Term.(const run $ seed_arg $ nics $ vfs $ cycles $ quantum $ shares)
 
 let qos_cmd =
-  let tenants = Arg.(value & opt int 8 & info [ "tenants" ] ~docv:"N" ~doc:"Tenants (tenant 0 is the aggressor)") in
-  let rounds = Arg.(value & opt int 8 & info [ "rounds" ] ~docv:"R" ~doc:"Traffic rounds") in
-  let requests = Arg.(value & opt int 40 & info [ "requests" ] ~docv:"K" ~doc:"Victim requests per tenant per round") in
-  let factor = Arg.(value & opt int 8 & info [ "factor" ] ~docv:"X" ~doc:"Aggressor load multiplier") in
-  let slo = Arg.(value & opt int 2000 & info [ "slo" ] ~docv:"CYCLES" ~doc:"Victim latency SLO in cycles") in
+  let d = Fleet.Qos_scenario.default_config in
+  let tenants =
+    Arg.(value & opt int d.q_tenants
+         & info [ "tenants" ] ~docv:"N" ~doc:"Tenants (tenant 0 is the aggressor)")
+  in
+  let rounds = Arg.(value & opt int d.q_rounds & info [ "rounds" ] ~docv:"R" ~doc:"Traffic rounds") in
+  let requests =
+    Arg.(value & opt int d.q_requests
+         & info [ "requests" ] ~docv:"K" ~doc:"Victim requests per tenant per round")
+  in
+  let factor = Arg.(value & opt int d.q_factor & info [ "factor" ] ~docv:"X" ~doc:"Aggressor load multiplier") in
+  let slo = Arg.(value & opt int d.q_slo & info [ "slo" ] ~docv:"CYCLES" ~doc:"Victim latency SLO in cycles") in
   let starve = Arg.(value & flag & info [ "starve" ] ~doc:"Starvation variant: zero structural slack (capacity = sum of guarantees)") in
   let run seed tenants rounds requests factor slo starve =
-    let default = Fleet.Qos_scenario.default_config in
     run_scenario (module Fleet.Qos_scenario) ~cmd:"qos"
       {
-        default with
-        Fleet.Qos_scenario.q_seed = Option.value seed ~default:default.Fleet.Qos_scenario.q_seed;
+        Fleet.Qos_scenario.q_seed = Option.value seed ~default:d.q_seed;
         q_tenants = tenants;
         q_rounds = rounds;
         q_requests = requests;
@@ -655,22 +676,24 @@ let qos_cmd =
     Term.(const run $ seed_arg $ tenants $ rounds $ requests $ factor $ slo $ starve)
 
 let ddos_cmd =
-  let flows = Arg.(value & opt int 256 & info [ "flows" ] ~docv:"N" ~doc:"Benign flows") in
+  let d = Fleet.Ddos_scenario.default_config in
+  let flows = Arg.(value & opt int d.d_benign_flows & info [ "flows" ] ~docv:"N" ~doc:"Benign flows") in
   let factor =
-    Arg.(value & opt int 10 & info [ "factor" ] ~docv:"X" ~doc:"Spoofed SYNs per benign packet (attack intensity)")
+    Arg.(value & opt int d.d_attack_factor
+         & info [ "factor" ] ~docv:"X" ~doc:"Spoofed SYNs per benign packet (attack intensity)")
   in
   let pkts =
-    Arg.(value & opt int 4 & info [ "pkts-per-flow" ] ~docv:"K" ~doc:"Benign data packets after each handshake")
+    Arg.(value & opt int d.d_packets_per_flow
+         & info [ "pkts-per-flow" ] ~docv:"K" ~doc:"Benign data packets after each handshake")
   in
   let log2_buckets =
-    Arg.(value & opt int 10 & info [ "log2-buckets" ] ~docv:"B" ~doc:"Whitelist cuckoo filter: 2^$(docv) buckets x 4 slots")
+    Arg.(value & opt int d.d_log2_buckets
+         & info [ "log2-buckets" ] ~docv:"B" ~doc:"Whitelist cuckoo filter: 2^$(docv) buckets x 4 slots")
   in
   let run seed flows factor pkts log2_buckets =
-    let default = Fleet.Ddos_scenario.default_config in
     run_scenario (module Fleet.Ddos_scenario) ~cmd:"ddos"
       {
-        default with
-        Fleet.Ddos_scenario.d_seed = Option.value seed ~default:default.Fleet.Ddos_scenario.d_seed;
+        Fleet.Ddos_scenario.d_seed = Option.value seed ~default:d.d_seed;
         d_benign_flows = flows;
         d_attack_factor = factor;
         d_packets_per_flow = pkts;
@@ -683,27 +706,41 @@ let ddos_cmd =
     Term.(const run $ seed_arg $ flows $ factor $ pkts $ log2_buckets)
 
 let fabric_cmd =
-  let nics = Arg.(value & opt int 3 & info [ "nics" ] ~docv:"N" ~doc:"NICs in the rack (proxy, tracker, spare)") in
-  let flows = Arg.(value & opt int 96 & info [ "flows" ] ~docv:"F" ~doc:"Benign flows through the split chain") in
+  let d = Fleet.Fabric_scenario.default_config in
+  let nics =
+    Arg.(value & opt int d.f_nics
+         & info [ "nics" ] ~docv:"N" ~doc:"NICs in the rack (proxy, tracker, spare)")
+  in
+  let flows =
+    Arg.(value & opt int d.f_flows
+         & info [ "flows" ] ~docv:"F" ~doc:"Benign flows through the split chain")
+  in
   let pkts =
-    Arg.(value & opt int 4 & info [ "pkts-per-flow" ] ~docv:"K" ~doc:"Benign data packets after each handshake")
+    Arg.(value & opt int d.f_packets_per_flow
+         & info [ "pkts-per-flow" ] ~docv:"K" ~doc:"Benign data packets after each handshake")
   in
   let window =
-    Arg.(value & opt int 32 & info [ "window" ] ~docv:"W" ~doc:"Receiver anti-replay window (1..62)")
+    Arg.(value & opt int d.f_window
+         & info [ "window" ] ~docv:"W" ~doc:"Receiver anti-replay window (1..62)")
   in
   let buffer =
-    Arg.(value & opt int 2048 & info [ "buffer" ] ~docv:"B" ~doc:"Sender replay-buffer capacity (failover state)")
+    Arg.(value & opt int d.f_buffer
+         & info [ "buffer" ] ~docv:"B" ~doc:"Sender replay-buffer capacity (failover state)")
   in
-  let replay = Arg.(value & opt int 24 & info [ "replay" ] ~docv:"N" ~doc:"Adversarial in-window re-deliveries") in
-  let reorder = Arg.(value & opt int 24 & info [ "reorder" ] ~docv:"N" ~doc:"Adversarial pre-window re-deliveries") in
-  let tamper = Arg.(value & opt int 16 & info [ "tamper" ] ~docv:"N" ~doc:"Adversarial bit-flipped frames") in
+  let replay =
+    Arg.(value & opt int d.f_replay
+         & info [ "replay" ] ~docv:"N" ~doc:"Adversarial in-window re-deliveries")
+  in
+  let reorder =
+    Arg.(value & opt int d.f_reorder
+         & info [ "reorder" ] ~docv:"N" ~doc:"Adversarial pre-window re-deliveries")
+  in
+  let tamper = Arg.(value & opt int d.f_tamper & info [ "tamper" ] ~docv:"N" ~doc:"Adversarial bit-flipped frames") in
   let no_kill = Arg.(value & flag & info [ "no-kill" ] ~doc:"Skip the mid-run tracker-NIC kill and failover") in
   let run seed nics flows pkts window buffer replay reorder tamper no_kill metrics domains shards =
-    let default = Fleet.Fabric_scenario.default_config in
     run_scenario (module Fleet.Fabric_scenario) ~cmd:"fabric" ~domains ?shards ?metrics
       {
-        default with
-        Fleet.Fabric_scenario.f_seed = Option.value seed ~default:default.Fleet.Fabric_scenario.f_seed;
+        Fleet.Fabric_scenario.f_seed = Option.value seed ~default:d.f_seed;
         f_nics = nics;
         f_flows = flows;
         f_packets_per_flow = pkts;

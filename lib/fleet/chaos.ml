@@ -12,8 +12,6 @@ type config = {
   dram_flips_per_round : int;
   kill_nics : int;
   kill_nfs : int;
-  bytes_per_mb : int;
-  supervisor : Supervisor.config;
 }
 
 let default_config =
@@ -29,8 +27,6 @@ let default_config =
     dram_flips_per_round = 2;
     kill_nics = 1;
     kill_nfs = 2;
-    bytes_per_mb = 1024;
-    supervisor = Supervisor.default_config;
   }
 
 (* Gray failures cluster in real racks: every [flaky_stride]-th NIC gets
@@ -143,7 +139,6 @@ let run_with ?(sink = Obs.null) ?(domains = 1) config =
         n_nics = config.n_nics;
         n_tenants = config.n_tenants;
         policy = config.policy;
-        bytes_per_mb = config.bytes_per_mb;
       }
   in
   let initial_attested = Orchestrator.attested_count orch in
@@ -151,7 +146,7 @@ let run_with ?(sink = Obs.null) ?(domains = 1) config =
   Array.iter
     (fun node -> Machine.set_faults (Snic.Api.machine (Node.api node)) (node_plan config node))
     (Orchestrator.nodes orch);
-  let sup = Supervisor.create ~seed:config.seed orch config.supervisor in
+  let sup = Supervisor.create ~seed:config.seed orch in
   let chaos_rng = Trace.Rng.create ~seed:(config.seed lxor 0xC4A05) in
   let fail_rng = Trace.Rng.create ~seed:(config.seed lxor 0xDEAD) in
   let rounds = ref [] in

@@ -24,11 +24,9 @@ type config = {
   dram_flips_per_round : int;
   kill_nics : int; (* fail-stop budget across the run *)
   kill_nfs : int;
-  bytes_per_mb : int;
-  supervisor : Supervisor.config;
 }
 
-(** seed 42, 8 NICs / 24 tenants, 4 rounds × 400 packets, full storm on
+(** seed 42, 8 NICs / 24 tenants, 6 rounds × 400 packets, full storm on
     every 3rd NIC, 2 DRAM flips per round, 1 NIC + 2 NF fail-stop kills. *)
 val default_config : config
 

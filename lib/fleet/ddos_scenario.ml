@@ -5,13 +5,10 @@ type config = {
   d_benign_flows : int;
   d_attack_factor : int; (* spoofed SYNs per benign packet *)
   d_packets_per_flow : int; (* benign data packets after the handshake *)
-  d_fp_bits : int; (* whitelist fingerprint bits *)
   d_log2_buckets : int; (* whitelist size: 2^k buckets x 4 slots *)
-  d_conntrack_entry_bytes : int; (* naive per-SYN state, unprotected pass *)
-  d_corrupt_period : int; (* tampered modes: one filter bit flip per k attack pkts *)
-  d_modes : Machine.mode list;
 }
 
+(* The five evaluated protection modes, each run once per scenario. *)
 let modes =
   [
     Machine.Liquidio_se_s;
@@ -27,11 +24,7 @@ let default_config =
     d_benign_flows = 256;
     d_attack_factor = 10;
     d_packets_per_flow = 4;
-    d_fp_bits = 12;
     d_log2_buckets = 10;
-    d_conntrack_entry_bytes = 64;
-    d_corrupt_period = 8;
-    d_modes = modes;
   }
 
 type mode_report = {
@@ -93,13 +86,16 @@ let syn_flood rng ~benign_flows ~attack_factor ~packets_per_flow =
   Trace.Attackgen.syn_flood rng ~benign_flows ~attack_factor ~packets_per_flow ~f:(fun e -> evs := e :: !evs);
   List.rev !evs
 
-(* The CuckooGuard pair.  The proxy's cookie key is derived from
-   [name] and [seed], so two scenarios on one seed never share a key. *)
-let proxy ~name ~seed ~fp_bits ~log2_buckets =
+(* The CuckooGuard pair, with 12-bit whitelist fingerprints.  The
+   proxy's cookie key is derived from [name] and [seed], so two
+   scenarios on one seed never share a key. *)
+let fp_bits = 12
+
+let proxy ~name ~seed ~log2_buckets =
   let key = Crypto.Hmac.derive ~secret:(Printf.sprintf "%s-%08x" name seed) ~label:"synp-cookie" in
   Nf.Syn_proxy.create ~filter_seed:(seed lxor 0xF17) ~fp_bits ~log2_buckets ~key ()
 
-let tracker ~seed ~fp_bits ~log2_buckets = Nf.Cuckoo.nf_create ~seed:(seed lxor 0x7CF) ~fp_bits ~log2_buckets ()
+let tracker ~seed ~log2_buckets = Nf.Cuckoo.nf_create ~seed:(seed lxor 0x7CF) ~fp_bits ~log2_buckets ()
 
 (* Per-kind payloads: benign clients follow the cookie protocol (echo
    the proxy's current-epoch cookie); an attacker without the key can
@@ -136,14 +132,17 @@ type pass = {
 
 (* One pass of the CuckooGuard chain (SYN proxy -> cuckoo flow tracker)
    over the event stream.  [attack = false] replays only the benign
-   events (the goodput baseline).  [tampered] flips whitelist bits from
-   the attacker's side channel; [key_stolen] lets the attacker forge
-   valid cookie echoes for its spoofed flows. *)
+   events (the goodput baseline).  [tampered] flips one whitelist bit
+   every [corrupt_period] attack packets from the attacker's side
+   channel; [key_stolen] lets the attacker forge valid cookie echoes for
+   its spoofed flows. *)
+let corrupt_period = 8
+
 let run_pass config ~sink ~events ~attack ~tampered ~key_stolen =
-  let fp_bits = config.d_fp_bits and log2_buckets = config.d_log2_buckets in
-  let proxy = proxy ~name:"ddos" ~seed:config.d_seed ~fp_bits ~log2_buckets in
+  let log2_buckets = config.d_log2_buckets in
+  let proxy = proxy ~name:"ddos" ~seed:config.d_seed ~log2_buckets in
   let proxy_nf = Nf.Syn_proxy.nf proxy in
-  let tracker = tracker ~seed:config.d_seed ~fp_bits ~log2_buckets in
+  let tracker = tracker ~seed:config.d_seed ~log2_buckets in
   let tracker_nf = Nf.Cuckoo.nf tracker in
   let mem () = Nf.Syn_proxy.memory_bytes proxy + Nf.Cuckoo.memory_bytes (Nf.Cuckoo.nf_filter tracker) in
   let reserved = mem () in
@@ -187,7 +186,7 @@ let run_pass config ~sink ~events ~attack ~tampered ~key_stolen =
                 whitelist until the fixed filter saturates. *)
              let ack = packet proxy e ~payload:(Nf.Syn_proxy.ack_payload proxy e.flow) in
              match feed ack with Nf.Types.Forward _ -> incr forged | Nf.Types.Drop _ -> ());
-          if tampered && !attack_seen mod config.d_corrupt_period = 0 then begin
+          if tampered && !attack_seen mod corrupt_period = 0 then begin
             Nf.Cuckoo.corrupt (Nf.Syn_proxy.filter proxy) ~bit:(Trace.Rng.bits rng);
             incr flips
           end
@@ -213,8 +212,10 @@ let run_pass config ~sink ~events ~attack ~tampered ~key_stolen =
    cookie, budgeted at the same bytes the CuckooGuard pair reserves.  A
    flood fills the table once and benign handshakes behind it fail —
    classic state exhaustion. *)
-let run_unprotected config ~events ~budget_bytes =
-  let entry = config.d_conntrack_entry_bytes in
+let conntrack_entry_bytes = 64
+
+let run_unprotected ~events ~budget_bytes =
+  let entry = conntrack_entry_bytes in
   let budget = max 1 (budget_bytes / entry) in
   let tbl = Net.Five_tuple.Table.create 1024 in
   let goodput = ref 0 and benign_dropped = ref 0 and peak = ref 0 and wanted = ref 0 in
@@ -248,8 +249,6 @@ let validate c =
       (c.d_attack_factor >= 1, "factor must be >= 1");
       (c.d_packets_per_flow >= 1, "packets per flow must be >= 1");
       (c.d_log2_buckets >= 1 && c.d_log2_buckets <= 28, "log2 buckets must be in 1..28");
-      (c.d_corrupt_period >= 1, "corrupt period must be >= 1");
-      (c.d_modes <> [], "need at least one mode");
     ]
 
 (* No rack to boot: [domains] has nothing to fan out. *)
@@ -271,7 +270,7 @@ let run ?(sink = Obs.null) ?domains:_ config =
         let base = run_pass config ~sink:Obs.null ~events ~attack:false ~tampered:false ~key_stolen:false in
         let prot = run_pass config ~sink ~events ~attack:true ~tampered ~key_stolen in
         let ugood, _udrop, upeak, uwanted =
-          run_unprotected config ~events ~budget_bytes:prot.dp_reserved
+          run_unprotected ~events ~budget_bytes:prot.dp_reserved
         in
         let ratio over =
           if base.dp_goodput = 0 then 0. else float_of_int over /. float_of_int base.dp_goodput
@@ -299,19 +298,19 @@ let run ?(sink = Obs.null) ?domains:_ config =
           dm_unprotected_mem_peak_bytes = upeak;
           dm_unprotected_mem_wanted_bytes = uwanted;
         })
-      config.d_modes
+      modes
   in
-  let snic = List.find_opt (fun r -> r.dm_mode = Machine.Snic) mode_reports in
+  let snic = List.find (fun r -> r.dm_mode = Machine.Snic) mode_reports in
   {
     d_config = config;
     d_mode_reports = mode_reports;
     d_benign_pkts = benign_pkts;
     d_attack_pkts = attack_pkts;
     d_events_digest = digest;
-    d_snic_goodput_ratio = (match snic with Some r -> r.dm_goodput_ratio | None -> 0.);
-    d_snic_mem_flat = (match snic with Some r -> r.dm_mem_flat | None -> false);
-    d_snic_tampered = (match snic with Some r -> r.dm_tampered | None -> true);
-    d_snic_key_stolen = (match snic with Some r -> r.dm_key_stolen | None -> true);
+    d_snic_goodput_ratio = snic.dm_goodput_ratio;
+    d_snic_mem_flat = snic.dm_mem_flat;
+    d_snic_tampered = snic.dm_tampered;
+    d_snic_key_stolen = snic.dm_key_stolen;
   }
 
 let summary r =
@@ -319,7 +318,7 @@ let summary r =
   let c = r.d_config in
   Printf.bprintf b
     "ddos scenario: seed=%d benign_flows=%d attack_factor=%d pkts/flow=%d filter=2^%d buckets fp=%d bits\n"
-    c.d_seed c.d_benign_flows c.d_attack_factor c.d_packets_per_flow c.d_log2_buckets c.d_fp_bits;
+    c.d_seed c.d_benign_flows c.d_attack_factor c.d_packets_per_flow c.d_log2_buckets fp_bits;
   Printf.bprintf b "  traffic: %d benign pkts + %d attack pkts, events digest=%d\n" r.d_benign_pkts
     r.d_attack_pkts r.d_events_digest;
   List.iter
@@ -335,12 +334,12 @@ benign_dropped=%d forged_admits=%d flips=%d load=%.4f mem=%dB peak=%dB flat=%d\n
         m.dm_mem_reserved_bytes m.dm_mem_peak_bytes
         (if m.dm_mem_flat then 1 else 0))
     r.d_mode_reports;
-  (match r.d_mode_reports with
-  | m :: _ ->
-    Printf.bprintf b "  unprotected conntrack: budget=%dB peak=%dB wanted=%dB (per-SYN state at %dB/entry)\n"
-      m.dm_mem_reserved_bytes m.dm_unprotected_mem_peak_bytes m.dm_unprotected_mem_wanted_bytes
-      c.d_conntrack_entry_bytes
-  | [] -> ());
+  (* The conntrack budget and demand are mode-independent: print the
+     first mode's. *)
+  let m = List.hd r.d_mode_reports in
+  Printf.bprintf b "  unprotected conntrack: budget=%dB peak=%dB wanted=%dB (per-SYN state at %dB/entry)\n"
+    m.dm_mem_reserved_bytes m.dm_unprotected_mem_peak_bytes m.dm_unprotected_mem_wanted_bytes
+    conntrack_entry_bytes;
   Printf.bprintf b "  invariants: snic_goodput=%.4f snic_mem_flat=%d snic_tampered=%d snic_key_stolen=%d\n"
     r.d_snic_goodput_ratio
     (if r.d_snic_mem_flat then 1 else 0)

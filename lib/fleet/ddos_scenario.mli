@@ -22,18 +22,15 @@ type config = {
   d_benign_flows : int;
   d_attack_factor : int;  (** spoofed SYNs per benign packet *)
   d_packets_per_flow : int;  (** benign data packets after the handshake *)
-  d_fp_bits : int;  (** whitelist fingerprint bits *)
   d_log2_buckets : int;  (** whitelist size: 2^k buckets x 4 slots *)
-  d_conntrack_entry_bytes : int;  (** naive per-SYN state, unprotected pass *)
-  d_corrupt_period : int;  (** tampered modes: one bit flip per k attack pkts *)
-  d_modes : Nicsim.Machine.mode list;
 }
 
-val modes : Nicsim.Machine.mode list
-(** The five evaluated protection modes (SE-UM with xkphys hiding). *)
-
 val default_config : config
-(** Seed 42, 256 benign flows, 10x attack factor, 2^10-bucket whitelist. *)
+(** Seed 42, 256 benign flows, 10x attack factor, 2^10-bucket whitelist.
+    Every run covers the five evaluated protection modes (SE-UM with
+    xkphys hiding); the tampered modes flip one whitelist bit per 8
+    attack packets, and the no-defense conntrack pass keeps 64 bytes of
+    state per SYN. *)
 
 type mode_report = {
   dm_mode : Nicsim.Machine.mode;
@@ -72,12 +69,12 @@ type report = {
 }
 
 (** {!Run.S} for the flood.  [validate]: at least 1 benign flow, an
-    attack factor, packets per flow and a corrupt period of at least 1,
-    a whitelist of 2^1..2^28 buckets, and at least one mode.  [run], per
-    mode: probe the attacker's reach, then run the attack-free baseline,
-    the protected pass and the no-defense conntrack pass over the same
-    seeded event stream; [sink] receives the [ddos_*] counters of the
-    protected passes, and [domains] is ignored (no rack).  [summary]
+    attack factor and packets per flow of at least 1, and a whitelist of
+    2^1..2^28 buckets.  [run], per mode: probe the attacker's reach,
+    then run the attack-free baseline, the protected pass and the
+    no-defense conntrack pass over the same seeded event stream; [sink]
+    receives the [ddos_*] counters of the protected passes, and
+    [domains] is ignored (no rack).  [summary]
     ends with ["invariants: snic_goodput=1.0000 snic_mem_flat=1
     snic_tampered=0 snic_key_stolen=0"] on a passing run.  [gates], all
     in S-NIC mode: [snic.goodput_ratio >= 0.8], [snic.mem_flat = 1],
@@ -93,12 +90,12 @@ val syn_flood :
   Trace.Rng.t -> benign_flows:int -> attack_factor:int -> packets_per_flow:int -> Trace.Attackgen.event list
 (** The seeded {!Trace.Attackgen.syn_flood} stream, oldest first. *)
 
-val proxy : name:string -> seed:int -> fp_bits:int -> log2_buckets:int -> Nf.Syn_proxy.t
-(** The SYN-cookie proxy with its whitelist; its cookie key is derived
-    from [name] and [seed]. *)
+val proxy : name:string -> seed:int -> log2_buckets:int -> Nf.Syn_proxy.t
+(** The SYN-cookie proxy with its whitelist (12-bit fingerprints); its
+    cookie key is derived from [name] and [seed]. *)
 
-val tracker : seed:int -> fp_bits:int -> log2_buckets:int -> Nf.Cuckoo.nf_state
-(** The cuckoo flow tracker behind the proxy. *)
+val tracker : seed:int -> log2_buckets:int -> Nf.Cuckoo.nf_state
+(** The cuckoo flow tracker behind the proxy (12-bit fingerprints). *)
 
 val packet : ?payload:string -> Nf.Syn_proxy.t -> Trace.Attackgen.event -> Net.Packet.t
 (** The event's TCP packet.  Without [payload], it carries by kind the

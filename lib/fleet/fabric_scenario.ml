@@ -11,9 +11,6 @@ type config = {
   f_reorder : int; (* adversarial re-deliveries of pre-window frames *)
   f_tamper : int; (* adversarial bit-flipped frames *)
   f_kill : bool; (* kill the tracker NIC mid-run and fail over *)
-  f_fp_bits : int; (* whitelist fingerprint bits *)
-  f_log2_buckets : int; (* whitelist size: 2^k buckets x 4 slots *)
-  f_bytes_per_mb : int;
 }
 
 let default_config =
@@ -28,9 +25,6 @@ let default_config =
     f_reorder = 24;
     f_tamper = 16;
     f_kill = true;
-    f_fp_bits = 12;
-    f_log2_buckets = 10;
-    f_bytes_per_mb = 1024;
   }
 
 type report = {
@@ -127,7 +121,6 @@ let run_pass config ~sink ~domains ~events ~kill ~adversary =
         n_nics = config.f_nics;
         n_tenants = 0;
         policy = Policy.First_fit;
-        bytes_per_mb = config.f_bytes_per_mb;
       }
   in
   let nodes = Orchestrator.nodes orch in
@@ -148,16 +141,12 @@ let run_pass config ~sink ~domains ~events ~kill ~adversary =
       link
     | Error e -> failwith (Fabric.Endpoint.error_to_string e)
   in
-  (* The proxy's whitelist and cookie key live on NIC 0 and survive the
-     tracker NIC's death; the tracker's flow table is the state the
-     failover must rebuild from the channel's replay buffer. *)
-  let new_tracker () =
-    Ddos_scenario.tracker ~seed:config.f_seed ~fp_bits:config.f_fp_bits ~log2_buckets:config.f_log2_buckets
-  in
-  let proxy =
-    Ddos_scenario.proxy ~name:"fabric" ~seed:config.f_seed ~fp_bits:config.f_fp_bits
-      ~log2_buckets:config.f_log2_buckets
-  in
+  (* The proxy's whitelist (2^10 buckets) and cookie key live on NIC 0
+     and survive the tracker NIC's death; the tracker's flow table is the
+     state the failover must rebuild from the channel's replay buffer. *)
+  let log2_buckets = 10 in
+  let new_tracker () = Ddos_scenario.tracker ~seed:config.f_seed ~log2_buckets in
+  let proxy = Ddos_scenario.proxy ~name:"fabric" ~seed:config.f_seed ~log2_buckets in
   let tracker = ref (new_tracker ()) in
   let _vnic_a, expected_a = place_stage nodes.(0) ~image:"fabric:synp:stage-0" in
   let vnic_b, expected_b = place_stage nodes.(1) ~image:"fabric:ckf:stage-1" in

@@ -30,13 +30,11 @@ type config = {
   f_reorder : int;  (** adversarial re-deliveries of pre-window frames *)
   f_tamper : int;  (** adversarial bit-flipped frames *)
   f_kill : bool;  (** kill the tracker NIC mid-run and fail over *)
-  f_fp_bits : int;  (** whitelist fingerprint bits *)
-  f_log2_buckets : int;  (** whitelist size: 2^k buckets x 4 slots *)
-  f_bytes_per_mb : int;
 }
 
 val default_config : config
-(** Seed 42, 3 NICs, 96 flows, window 32, one mid-run NIC kill. *)
+(** Seed 42, 3 NICs, 96 flows, window 32, one mid-run NIC kill.  The
+    whitelist is always 2^10 buckets x 4 slots. *)
 
 type report = {
   f_config : config;

@@ -72,26 +72,10 @@ let inject orch rng ~kill_nics ~kill_nfs =
   in
   let nf_victims = pick_distinct rng placed kill_nfs in
   List.iter
-    (fun (tn : Orchestrator.tenant) ->
-      match tn.Orchestrator.placement with
-      | None -> ()
-      | Some p ->
-        let node = p.Orchestrator.node in
-        let handle = Snic.Vnic.handle p.Orchestrator.vnic in
-        Telemetry.nf_kill telemetry;
-        (match Snic.Api.nf_destroy (Node.api node) ~id:handle.Snic.Instructions.id with
-        | Ok () ->
-          let mem = Nicsim.Machine.mem (Snic.Api.machine (Node.api node)) in
-          if
-            Nicsim.Physmem.is_zero mem ~pos:handle.Snic.Instructions.mem_base ~len:handle.Snic.Instructions.mem_len
-          then begin
-            let ns = Telemetry.nic telemetry (Node.id node) in
-            ns.Telemetry.scrubs_verified <- ns.Telemetry.scrubs_verified + 1
-          end
-          else incr scrub_failures
-        | Error _ -> incr scrub_failures);
-        Orchestrator.evict orch tn;
-        displaced := tn :: !displaced)
+    (fun tn ->
+      Telemetry.nf_kill telemetry;
+      if not (Orchestrator.destroy_verified orch tn) then incr scrub_failures;
+      displaced := tn :: !displaced)
     nf_victims;
   let nfs_killed = List.map (fun (tn : Orchestrator.tenant) -> tn.Orchestrator.tid) nf_victims in
   (* Recovery: re-place + re-attest, lowest tenant id first. *)

@@ -5,8 +5,8 @@
     teardown story:
 
     - an *NF kill* is an orderly [nf_destroy]: the trusted instruction
-      scrubs the function's RAM, and the injector verifies the scrub
-      ({!Nicsim.Physmem.is_zero}) before re-placing the tenant;
+      scrubs the function's RAM, and the scrub is verified
+      ({!Orchestrator.destroy_verified}) before the tenant is re-placed;
     - a *NIC kill* is hardware death: no teardown runs, every hosted
       function is simply lost, and the survivors' control plane re-places
       the orphaned tenants on the remaining NICs.  Frames a batched

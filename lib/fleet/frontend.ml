@@ -12,7 +12,11 @@ let drain orch (tenant : Orchestrator.tenant) ~max =
     ts.Telemetry.faults <- ts.Telemetry.faults + rs.Snic.Vnic.faults;
     (rs.Snic.Vnic.received, rs.Snic.Vnic.forwarded, rs.Snic.Vnic.dropped)
 
-let replay ?(batch = 32) ?(n_flows = 512) orch ~seed ~packets () =
+(* Frames injected between drain points, and flows in the trace. *)
+let batch = 32
+let n_flows = 512
+
+let replay orch ~seed ~packets () =
   let trace = Trace.Tracegen.ictf_like ~n_flows ~seed ~packets () in
   let tenants = Orchestrator.tenants orch in
   let n_tenants = Array.length tenants in

@@ -18,10 +18,10 @@ type stats = {
 }
 
 (** [replay orch ~seed ~packets ()] — generate an ICTF-like trace of
-    [packets] events from [seed] and push it through the fleet.
-    [batch] (default 32) bounds per-tenant drains between injections so
-    small VPP buffer pools don't overflow. Per-tenant and per-NIC
-    counters land in the orchestrator's telemetry.
+    [packets] events over 512 flows from [seed] and push it through the
+    fleet, draining every tenant after each 32 injections so small VPP
+    buffer pools don't overflow. Per-tenant and per-NIC counters land in
+    the orchestrator's telemetry.
 
     Ingress is batched: frames buffer per NIC in event order and land
     through one {!Snic.Api.inject_batch} per NIC immediately before
@@ -29,4 +29,4 @@ type stats = {
     changing any observable outcome (per-node frame order, pool
     occupancy at every drain point, and all counters match the
     one-packet-at-a-time path byte for byte). *)
-val replay : ?batch:int -> ?n_flows:int -> Orchestrator.t -> seed:int -> packets:int -> unit -> stats
+val replay : Orchestrator.t -> seed:int -> packets:int -> unit -> stats

@@ -1,6 +1,4 @@
-type config = { seed : int; n_nics : int; n_tenants : int; policy : Policy.t; bytes_per_mb : int }
-
-let default_config = { seed = 42; n_nics = 16; n_tenants = 64; policy = Policy.First_fit; bytes_per_mb = 1024 }
+type config = { seed : int; n_nics : int; n_tenants : int; policy : Policy.t }
 
 type placement = { node : Node.t; vnic : Snic.Vnic.t; nf : Nf.Types.t }
 
@@ -21,7 +19,6 @@ type t = {
   rng : Random.State.t; (* nonces + DH ephemerals for the handshakes *)
 }
 
-let config t = t.config
 let nodes t = t.nodes
 let tenants t = t.tenants
 let telemetry t = t.telemetry
@@ -130,6 +127,31 @@ let evict t tenant =
   tenant.placement <- None;
   tenant.attested <- false
 
+(* The one verified teardown: [nf_destroy] scrubs the function's RAM, and
+   the control plane checks the scrub (RAM reads back zero) before it
+   counts the teardown as verified.  A refused destroy counts as a failed
+   scrub: the function's memory was not provably cleared. *)
+let destroy_verified t tenant =
+  match tenant.placement with
+  | None -> true
+  | Some p ->
+    let api = Node.api p.node in
+    let handle = Snic.Vnic.handle p.vnic in
+    let scrubbed =
+      match Snic.Api.nf_destroy api ~id:handle.Snic.Instructions.id with
+      | Ok () ->
+        Nicsim.Physmem.is_zero
+          (Nicsim.Machine.mem (Snic.Api.machine api))
+          ~pos:handle.Snic.Instructions.mem_base ~len:handle.Snic.Instructions.mem_len
+      | Error _ -> false
+    in
+    if scrubbed then begin
+      let ns = Telemetry.nic t.telemetry (Node.id p.node) in
+      ns.Telemetry.scrubs_verified <- ns.Telemetry.scrubs_verified + 1
+    end;
+    evict t tenant;
+    scrubbed
+
 let create ?(sink = Obs.null) ?(domains = 1) config =
   let vendor = Snic.Identity.make_vendor ~seed:config.seed ~name:"Fleet Operator NIC Vendor" () in
   (* NIC boots are independent (each derives its identity from the seed
@@ -153,7 +175,7 @@ let create ?(sink = Obs.null) ?(domains = 1) config =
         {
           tid = i;
           port = tenant_port i;
-          demand = Workload.demand_of_kind ~bytes_per_mb:config.bytes_per_mb (Workload.kind_of_index i);
+          demand = Workload.demand_of_kind (Workload.kind_of_index i);
           placement = None;
           attested = false;
         })

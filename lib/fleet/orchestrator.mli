@@ -7,16 +7,7 @@
     the attestation transcripts are all deterministic functions of it, so
     a scenario replays byte-for-byte. *)
 
-type config = {
-  seed : int;
-  n_nics : int;
-  n_tenants : int;
-  policy : Policy.t;
-  bytes_per_mb : int; (* memory scale: profiled MB -> simulated bytes *)
-}
-
-(** 16 NICs, 64 tenants, first-fit, 1 KB per profiled MB, seed 42. *)
-val default_config : config
+type config = { seed : int; n_nics : int; n_tenants : int; policy : Policy.t }
 
 type placement = { node : Node.t; vnic : Snic.Vnic.t; nf : Nf.Types.t }
 
@@ -44,7 +35,6 @@ type t
     [domains] value. *)
 val create : ?sink:Obs.sink -> ?domains:int -> config -> t
 
-val config : t -> config
 val nodes : t -> Node.t array
 val tenants : t -> tenant array
 val telemetry : t -> Telemetry.t
@@ -81,6 +71,14 @@ val replace : t -> tenant -> (unit, place_error) result
     was killed); clears the placement and operator-side accounting.
     Does not touch the (possibly dead) hardware. *)
 val evict : t -> tenant -> unit
+
+(** [destroy_verified t tenant] — the one verified teardown: [nf_destroy]
+    the tenant's NF, check that its RAM window reads back zero
+    ({!Nicsim.Physmem.is_zero}), count a verified scrub on the hosting
+    NIC, and {!evict}.  [false] is a scrub failure: the destroy was
+    refused or left RAM non-zero.  [true] (and nothing else) for an
+    unplaced tenant. *)
+val destroy_verified : t -> tenant -> bool
 
 (** {2 Invariant probes (the acceptance checks)} *)
 

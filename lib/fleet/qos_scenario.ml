@@ -13,34 +13,29 @@ open Nicsim
 
 type config = {
   q_seed : int;
-  q_nics : int;
   q_tenants : int; (* tenant 0 is the aggressor; >= 2 *)
   q_rounds : int;
   q_requests : int; (* victim requests per tenant per round *)
   q_factor : int; (* aggressor load multiplier *)
-  q_epoch : int; (* qos accounting epoch, cycles *)
   q_slo : int; (* victim latency SLO, cycles *)
   q_starve : bool; (* zero structural slack: guarantees only *)
-  q_policy : Policy.t;
-  q_bytes_per_mb : int;
-  q_supervisor : Supervisor.config;
 }
 
 let default_config =
   {
     q_seed = 42;
-    q_nics = 4;
     q_tenants = 8;
     q_rounds = 8;
     q_requests = 40;
     q_factor = 8;
-    q_epoch = 10_000;
     q_slo = 2_000;
     q_starve = false;
-    q_policy = Policy.First_fit;
-    q_bytes_per_mb = 1024;
-    q_supervisor = Supervisor.default_config;
   }
+
+(* The protected pass's rack, and the arbiter's accounting epoch in
+   cycles. *)
+let nics = 4
+let epoch = 10_000
 
 (* Request shapes (credits): victims are small and latency-sensitive,
    the aggressor is bulk.  The victim's SLO-tracked op is the bus
@@ -105,7 +100,7 @@ type fabric_op = Op_bus of int | Op_dma of int | Op_accel of int
    issues each epoch's burst back-to-back from the epoch start, which
    is what convoys the shared bus in the unprotected pass. *)
 let round_events config rng ~round ~active =
-  let round_cycles = config.q_epoch * epochs_per_round in
+  let round_cycles = epoch * epochs_per_round in
   let start = round * round_cycles in
   let evs = ref [] in
   for tid = 1 to config.q_tenants - 1 do
@@ -124,7 +119,7 @@ let round_events config rng ~round ~active =
     let per_epoch = total / epochs_per_round in
     for e = 0 to epochs_per_round - 1 do
       for j = 0 to per_epoch - 1 do
-        let t = start + (e * config.q_epoch) + (j * 2) + Trace.Rng.int rng 2 in
+        let t = start + (e * epoch) + (j * 2) + Trace.Rng.int rng 2 in
         evs := (t, 0, Op_bus agg_bus_cost) :: !evs;
         evs := (t, 0, Op_dma agg_dma_len) :: !evs;
         evs := (t, 0, Op_accel agg_accel_bytes) :: !evs
@@ -156,9 +151,9 @@ let make_arbiter config fabric =
   let agg_g = function Qos.Bus -> 10 * g Qos.Bus | (Qos.Dma | Qos.Accel) as r -> 4 * g r in
   let total r = ((config.q_tenants - 1) * g r) + agg_g r in
   let capacity = function
-    | Qos.Bus -> max config.q_epoch (total Qos.Bus)
+    | Qos.Bus -> max epoch (total Qos.Bus)
     | Qos.Dma -> 2 * total Qos.Dma
-    | Qos.Accel -> max (accel_threads * config.q_epoch / 2) (total Qos.Accel)
+    | Qos.Accel -> max (accel_threads * epoch / 2) (total Qos.Accel)
   in
   let capacity r = if config.q_starve then total r else capacity r in
   let cap_v r = 2 * g r in
@@ -169,7 +164,7 @@ let make_arbiter config fabric =
   let qos =
     Qos.create
       {
-        Qos.epoch = config.q_epoch;
+        Qos.epoch;
         bus_capacity = capacity Qos.Bus;
         dma_capacity = capacity Qos.Dma;
         accel_capacity = capacity Qos.Accel;
@@ -315,13 +310,12 @@ let run ?(sink = Obs.null) ?domains config =
     Orchestrator.create ~sink ?domains
       {
         Orchestrator.seed = config.q_seed;
-        n_nics = config.q_nics;
+        n_nics = nics;
         n_tenants = config.q_tenants;
-        policy = config.q_policy;
-        bytes_per_mb = config.q_bytes_per_mb;
+        policy = Policy.First_fit;
       }
   in
-  let sup = Supervisor.create ~seed:config.q_seed orch config.q_supervisor in
+  let sup = Supervisor.create ~seed:config.q_seed orch in
   let fabric0 = make_fabric config in
   let qos = make_arbiter config fabric0 in
   Qos.set_sink qos sink ~track_base:920;
@@ -392,7 +386,7 @@ let summary r =
   let c = r.q_config in
   Printf.bprintf b
     "qos scenario: seed=%d nics=%d tenants=%d rounds=%d requests=%d factor=%d epoch=%d slo=%d starve=%b\n"
-    c.q_seed c.q_nics c.q_tenants c.q_rounds c.q_requests c.q_factor c.q_epoch c.q_slo c.q_starve;
+    c.q_seed nics c.q_tenants c.q_rounds c.q_requests c.q_factor epoch c.q_slo c.q_starve;
   List.iter
     (fun o ->
       Printf.bprintf b

@@ -12,22 +12,18 @@
 
 type config = {
   q_seed : int;
-  q_nics : int;
   q_tenants : int; (* tenant 0 is the aggressor; >= 2 *)
   q_rounds : int;
   q_requests : int; (* victim requests per tenant per round *)
   q_factor : int; (* aggressor load multiplier *)
-  q_epoch : int; (* qos accounting epoch, cycles *)
   q_slo : int; (* victim latency SLO, cycles *)
   q_starve : bool; (* zero structural slack: capacity = sum of guarantees *)
-  q_policy : Policy.t;
-  q_bytes_per_mb : int;
-  q_supervisor : Supervisor.config;
 }
 
-(** seed 42, 4 NICs / 8 tenants (1 aggressor + 7 victims), 8 rounds of
-    40 victim requests at 8x aggressor load, 10k-cycle epochs, 2k-cycle
-    SLO, structural slack enabled. *)
+(** seed 42, 8 tenants (1 aggressor + 7 victims), 8 rounds of 40 victim
+    requests at 8x aggressor load, 2k-cycle SLO, structural slack
+    enabled.  The rack is always 4 NICs (first-fit) and the arbiter's
+    accounting epoch always 10k cycles. *)
 val default_config : config
 
 type tenant = {

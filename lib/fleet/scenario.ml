@@ -7,7 +7,6 @@ type config = {
   packets_per_round : int;
   kill_nics : int;
   kill_nfs : int;
-  bytes_per_mb : int;
 }
 
 let default_config =
@@ -20,7 +19,6 @@ let default_config =
     packets_per_round = 600;
     kill_nics = 2;
     kill_nfs = 4;
-    bytes_per_mb = 1024;
   }
 
 type round = { index : int; traffic : Frontend.stats; failures : Failure.report option }
@@ -71,7 +69,6 @@ let run_with ?(sink = Obs.null) ?(domains = 1) config =
         n_nics = config.n_nics;
         n_tenants = config.n_tenants;
         policy = config.policy;
-        bytes_per_mb = config.bytes_per_mb;
       }
   in
   let initial_attested = Orchestrator.attested_count orch in

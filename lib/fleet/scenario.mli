@@ -14,7 +14,6 @@ type config = {
   packets_per_round : int;
   kill_nics : int; (* NIC deaths injected over the whole run *)
   kill_nfs : int; (* orderly NF kills injected over the whole run *)
-  bytes_per_mb : int;
 }
 
 (** The acceptance scenario: seed 42, 16 NICs, 64 tenants, first-fit,

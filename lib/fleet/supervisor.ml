@@ -1,51 +1,42 @@
 open Nicsim
 
-type config = {
-  max_attempts : int;
-  backoff_base : int;
-  backoff_cap : int;
-  health_floor : int;
-  fault_penalty : int;
-  recovery_bonus : int;
-  probation_rounds : int;
-  watchdog_budget : int;
-  scrub_cost : int;
-  attest_cost : int;
-  slo_bad_share : float;
-  slo_patience : int;
-}
-
-let default_config =
-  {
-    max_attempts = 6;
-    backoff_base = 50_000;
-    backoff_cap = 5_000_000;
-    health_floor = 40;
-    fault_penalty = 7;
-    recovery_bonus = 15;
-    probation_rounds = 2;
-    (* Far above any honest service time (a jumbo DPI request is ~100k
-       cycles), far below Accel.hang_horizon. *)
-    watchdog_budget = 50_000_000;
-    scrub_cost = 120_000;
-    attest_cost = 600_000;
-    (* Half a round's requests blowing their SLO marks the round bad;
-       two bad rounds in a row is "sustained", not a blip. *)
-    slo_bad_share = 0.5;
-    slo_patience = 2;
-  }
-
 type breaker = Closed | Open of { until_round : int } | Probation of { until_round : int }
 
-type nic_state = { mutable score : int; mutable breaker : breaker; mutable trips : int; mutable last_faults : int }
+(* The one circuit breaker, for a NIC or a tenant: its state and how
+   often it has tripped. *)
+type circuit = { mutable state : breaker; mutable trips : int }
+
+let closed () = { state = Closed; trips = 0 }
+
+(* A tripped breaker stays open [probation_rounds] rounds on its first
+   trip, doubling per re-trip up to 16x; probation then lasts
+   [probation_rounds] rounds. *)
+let probation_rounds = 2
+
+let open_circuit c ~round =
+  c.state <- Open { until_round = round + (probation_rounds * (1 lsl min c.trips 4)) };
+  c.trips <- c.trips + 1
+
+(* Expire the current window: Open -> Probation ([true]: the caller
+   readmits what it quarantined), Probation -> Closed. *)
+let expire c ~round =
+  match c.state with
+  | Open { until_round } when round >= until_round ->
+    c.state <- Probation { until_round = round + probation_rounds };
+    true
+  | Probation { until_round } when round >= until_round ->
+    c.state <- Closed;
+    false
+  | Closed | Open _ | Probation _ -> false
+
+type nic_state = { mutable score : int; nic_cb : circuit; mutable last_faults : int }
 
 (* Per-tenant breaker, driven by SLO telemetry rather than device
    faults: [bad_rounds] counts consecutive rounds in which too many of
    the tenant's requests blew their SLO. *)
-type tenant_state = { mutable t_breaker : breaker; mutable t_trips : int; mutable bad_rounds : int }
+type tenant_state = { tenant_cb : circuit; mutable bad_rounds : int }
 
 type t = {
-  config : config;
   orch : Orchestrator.t;
   rng : Trace.Rng.t;
   nics : nic_state array;
@@ -58,14 +49,13 @@ type t = {
   tenant_states : (int, tenant_state) Hashtbl.t; (* tenant id -> SLO breaker *)
 }
 
-let create ~seed orch config =
+let create ~seed orch =
   {
-    config;
     orch;
     rng = Trace.Rng.create ~seed:(seed lxor 0x5AFE);
     nics =
       Array.map
-        (fun _ -> { score = 100; breaker = Closed; trips = 0; last_faults = 0 })
+        (fun _ -> { score = 100; nic_cb = closed (); last_faults = 0 })
         (Orchestrator.nodes orch);
     clock = 0;
     evicted_at = Hashtbl.create 64;
@@ -83,19 +73,19 @@ let clock t = t.clock
 let alarms t = t.alarms
 let scrub_failures t = t.scrub_failures
 let health t ~nic = t.nics.(nic).score
-let breaker t ~nic = t.nics.(nic).breaker
+let breaker t ~nic = t.nics.(nic).nic_cb.state
 
 let tenant_state t tid =
   match Hashtbl.find_opt t.tenant_states tid with
   | Some s -> s
   | None ->
-    let s = { t_breaker = Closed; t_trips = 0; bad_rounds = 0 } in
+    let s = { tenant_cb = closed (); bad_rounds = 0 } in
     Hashtbl.replace t.tenant_states tid s;
     s
 
-let tenant_breaker t ~tenant = (tenant_state t tenant).t_breaker
+let tenant_breaker t ~tenant = (tenant_state t tenant).tenant_cb.state
 let tenant_quarantined t ~tenant =
-  match (tenant_state t tenant).t_breaker with Open _ -> true | Closed | Probation _ -> false
+  match tenant_breaker t ~tenant with Open _ -> true | Closed | Probation _ -> false
 
 let cycles_per_ms = 1_200_000. (* 1.2 GHz cores *)
 let recovery_samples_ms t = List.rev_map (fun c -> float_of_int c /. cycles_per_ms) t.recovery_cycles
@@ -107,9 +97,12 @@ let recovery_quantile_ms t q = Obs.Metrics.quantile_of_samples (recovery_samples
 
 (* Note the displacement time so the re-attestation that eventually
    lands can be turned into a recovery-latency sample. *)
-let note_evict t (tenant : Orchestrator.tenant) =
+let stamp_evicted t (tenant : Orchestrator.tenant) =
   if not (Hashtbl.mem t.evicted_at tenant.Orchestrator.tid) then
-    Hashtbl.replace t.evicted_at tenant.Orchestrator.tid t.clock;
+    Hashtbl.replace t.evicted_at tenant.Orchestrator.tid t.clock
+
+let note_evict t tenant =
+  stamp_evicted t tenant;
   Orchestrator.evict t.orch tenant
 
 let note_recovered t (tenant : Orchestrator.tenant) =
@@ -124,21 +117,26 @@ let note_recovered t (tenant : Orchestrator.tenant) =
 (* Bounded retry with exponential backoff + seeded jitter. Stage faults
    and attestation rejections are transient under gray failures — retry;
    No_capacity cannot improve by retrying — alarm and give up this tick. *)
+let max_attempts = 6
+let backoff_base = 50_000 (* cycles before the first retry *)
+let backoff_cap = 5_000_000 (* ceiling on a single backoff step *)
+let attest_cost = 600_000 (* cycles charged per successful stage + attest *)
+
 let place_with_retry t tenant =
   let rec go attempt =
     match Orchestrator.replace t.orch tenant with
     | Ok () ->
-      t.clock <- t.clock + t.config.attest_cost;
+      t.clock <- t.clock + attest_cost;
       note_recovered t tenant;
       Ok ()
     | Error Orchestrator.No_capacity ->
       t.alarms <- t.alarms + 1;
       Error Orchestrator.No_capacity
     | Error (Orchestrator.Create_failed (Snic.Api.Stage_fault _) | Orchestrator.Attest_failed _) as e ->
-      if attempt >= t.config.max_attempts then (match e with Error err -> Error err | Ok () -> assert false)
+      if attempt >= max_attempts then (match e with Error err -> Error err | Ok () -> assert false)
       else begin
         Telemetry.retry (Orchestrator.telemetry t.orch);
-        let backoff = min t.config.backoff_cap (t.config.backoff_base * (1 lsl (attempt - 1))) in
+        let backoff = min backoff_cap (backoff_base * (1 lsl (attempt - 1))) in
         let jitter = Trace.Rng.int t.rng (max 1 (backoff / 4)) in
         t.clock <- t.clock + backoff + jitter;
         go (attempt + 1)
@@ -147,44 +145,34 @@ let place_with_retry t tenant =
   in
   go 1
 
-let destroy_verified t node (tenant : Orchestrator.tenant) =
-  match tenant.Orchestrator.placement with
-  | None -> ()
-  | Some p ->
-    let handle = Snic.Vnic.handle p.Orchestrator.vnic in
-    (match Snic.Api.nf_destroy (Node.api node) ~id:handle.Snic.Instructions.id with
-    | Ok () ->
-      let mem = Machine.mem (Snic.Api.machine (Node.api node)) in
-      if Physmem.is_zero mem ~pos:handle.Snic.Instructions.mem_base ~len:handle.Snic.Instructions.mem_len then begin
-        let ns = Telemetry.nic (Orchestrator.telemetry t.orch) (Node.id node) in
-        ns.Telemetry.scrubs_verified <- ns.Telemetry.scrubs_verified + 1
-      end
-      else t.scrub_failures <- t.scrub_failures + 1
-    | Error _ -> t.scrub_failures <- t.scrub_failures + 1);
-    t.clock <- t.clock + t.config.scrub_cost;
-    note_evict t tenant
+let scrub_cost = 120_000 (* cycles charged per verified teardown scrub *)
+
+(* The orchestrator's verified teardown, plus what the supervisor keeps:
+   the scrub's cost on the logical clock and the displacement time for
+   the recovery sample. *)
+let destroy_verified t tenant =
+  if not (Orchestrator.destroy_verified t.orch tenant) then t.scrub_failures <- t.scrub_failures + 1;
+  t.clock <- t.clock + scrub_cost;
+  stamp_evicted t tenant
+
+(* Trip a breaker and drain what it guards: every placement [guards]
+   names has its NF destroyed (scrub verified) and its tenant evicted, so
+   nothing keeps running under a quarantine. *)
+let trip t c ~round ~guards =
+  open_circuit c ~round;
+  Array.iter
+    (fun (tn : Orchestrator.tenant) ->
+      match tn.Orchestrator.placement with Some p when guards tn p -> destroy_verified t tn | _ -> ())
+    (Orchestrator.tenants t.orch)
 
 (* ---- per-tenant SLO supervision --------------------------------- *)
 
 type qos_round = { violations : int; samples : int; over_credits : int }
 
-(* Drain the noisy tenant's NFs — verified scrub, eviction — and open
-   its breaker.  Unlike a NIC trip, the hosting NICs stay in service:
-   the health signal names a tenant, so the quarantine does too. *)
-let trip_tenant t ~round tid =
-  let st = tenant_state t tid in
-  let window = t.config.probation_rounds * (1 lsl min st.t_trips 4) in
-  st.t_trips <- st.t_trips + 1;
-  st.bad_rounds <- 0;
-  st.t_breaker <- Open { until_round = round + window };
-  Telemetry.tenant_quarantine (Orchestrator.telemetry t.orch);
-  Array.iter
-    (fun (tn : Orchestrator.tenant) ->
-      if tn.Orchestrator.tid = tid then
-        match tn.Orchestrator.placement with
-        | Some p -> destroy_verified t p.Orchestrator.node tn
-        | None -> ())
-    (Orchestrator.tenants t.orch)
+(* Half a round's requests blowing their SLO marks the round bad; two bad
+   rounds in a row is "sustained", not a blip. *)
+let slo_bad_share = 0.5
+let slo_patience = 2
 
 (* One SLO supervision pass: [stats] carries each tenant's round deltas
    (SLO violations, latency samples, credits consumed beyond its
@@ -197,17 +185,14 @@ let note_qos t ~round stats =
      probation (re-place on readmission), probation expires closed. *)
   Hashtbl.iter
     (fun tid st ->
-      match st.t_breaker with
-      | Open { until_round } when round >= until_round ->
-        st.t_breaker <- Probation { until_round = round + t.config.probation_rounds };
+      if expire st.tenant_cb ~round then begin
         Telemetry.tenant_readmission tel;
         Array.iter
           (fun (tn : Orchestrator.tenant) ->
             if tn.Orchestrator.tid = tid && tn.Orchestrator.placement = None then
               ignore (place_with_retry t tn))
           (Orchestrator.tenants t.orch)
-      | Probation { until_round } when round >= until_round -> st.t_breaker <- Closed
-      | _ -> ())
+      end)
     t.tenant_states;
   (* Score the round. *)
   let sustained = ref false in
@@ -217,10 +202,10 @@ let note_qos t ~round stats =
       let st = tenant_state t tid in
       if not (tenant_quarantined t ~tenant:tid) then begin
         let bad =
-          q.samples > 0 && float_of_int q.violations /. float_of_int q.samples > t.config.slo_bad_share
+          q.samples > 0 && float_of_int q.violations /. float_of_int q.samples > slo_bad_share
         in
         if bad then st.bad_rounds <- st.bad_rounds + 1 else st.bad_rounds <- 0;
-        if st.bad_rounds >= t.config.slo_patience then sustained := true
+        if st.bad_rounds >= slo_patience then sustained := true
       end)
     stats;
   (* Attribute and intervene: the noisy tenant is the top over-guarantee
@@ -239,30 +224,15 @@ let note_qos t ~round stats =
     in
     match noisy with
     | Some (tid, _) ->
-      trip_tenant t ~round tid;
+      (* Unlike a NIC trip, the hosting NICs stay in service: the health
+         signal names a tenant, so the quarantine does too. *)
+      Telemetry.tenant_quarantine tel;
+      trip t (tenant_state t tid).tenant_cb ~round ~guards:(fun tn _ -> tn.Orchestrator.tid = tid);
       (* The intervention changes the contention picture; restart every
          streak so probation relapses are judged on fresh evidence. *)
       Hashtbl.iter (fun _ st -> st.bad_rounds <- 0) t.tenant_states
     | None -> ()
   end
-
-(* Circuit breaker trip: quarantine the NIC and drain it in an orderly
-   fashion — every hosted NF is destroyed (scrub verified) and its tenant
-   evicted, so nothing keeps running on a NIC the control plane no longer
-   trusts; the stranded-tenant pass re-places them elsewhere. *)
-let trip t ~round nic_i node =
-  let st = t.nics.(nic_i) in
-  let window = t.config.probation_rounds * (1 lsl min st.trips 4) in
-  st.trips <- st.trips + 1;
-  st.breaker <- Open { until_round = round + window };
-  Node.quarantine node;
-  Telemetry.quarantine (Orchestrator.telemetry t.orch);
-  Array.iter
-    (fun (tn : Orchestrator.tenant) ->
-      match tn.Orchestrator.placement with
-      | Some p when Node.id p.Orchestrator.node = Node.id node -> destroy_verified t node tn
-      | _ -> ())
-    (Orchestrator.tenants t.orch)
 
 (* Active health probes against live hardware: a bus heartbeat that must
    complete without a timeout, and a DMA loopback whose pattern must read
@@ -301,7 +271,11 @@ let probe t node =
 (* Watchdog: submit a tiny canary on each accelerator cluster a placed
    tenant owns; a completion past the budget means the engine is wedged
    (an injected hang lands ~1e9 cycles out), so the NF fails over —
-   teardown releases the cluster and resets its threads. *)
+   teardown releases the cluster and resets its threads.  The budget is
+   far above any honest service time (a jumbo DPI request is ~100k
+   cycles) and far below Accel.hang_horizon. *)
+let watchdog_budget = 50_000_000
+
 let watchdog t =
   let tel = Orchestrator.telemetry t.orch in
   Array.iter
@@ -318,14 +292,17 @@ let watchdog t =
             let a = Machine.accel (Snic.Api.machine (Node.api node)) kind in
             let done_at = Accel.submit a ~cluster ~now:t.clock ~bytes:64 in
             ignore (Accel.take_garbage a);
-            if done_at - t.clock > t.config.watchdog_budget then begin
+            if done_at - t.clock > watchdog_budget then begin
               Telemetry.watchdog_failover tel;
-              destroy_verified t node tn;
+              destroy_verified t tn;
               ignore (place_with_retry t tn)
             end))
     (Orchestrator.tenants t.orch)
 
 let round_quantum = 1_000_000
+let health_floor = 40 (* a NIC's breaker trips when its score sinks below *)
+let fault_penalty = 7 (* score lost per device fault since the last tick *)
+let recovery_bonus = 15 (* score regained per tick *)
 
 let tick t ~round =
   t.clock <- t.clock + round_quantum;
@@ -340,22 +317,24 @@ let tick t ~round =
         in
         let fresh = total - st.last_faults in
         st.last_faults <- total;
-        let penalty = (fresh * t.config.fault_penalty) + probe t node in
-        st.score <- max 0 (min 100 (st.score + t.config.recovery_bonus - penalty));
-        match st.breaker with
-        | Closed -> if st.score < t.config.health_floor then trip t ~round i node
-        | Open { until_round } ->
-          if round >= until_round then begin
+        let penalty = (fresh * fault_penalty) + probe t node in
+        st.score <- max 0 (min 100 (st.score + recovery_bonus - penalty));
+        match st.nic_cb.state with
+        | (Closed | Probation _) when st.score < health_floor ->
+          (* Quarantine the NIC and drain it in an orderly fashion, so
+             nothing keeps running on a NIC the control plane no longer
+             trusts; the stranded-tenant pass re-places its tenants. *)
+          Node.quarantine node;
+          Telemetry.quarantine tel;
+          trip t st.nic_cb ~round ~guards:(fun _ p -> Node.id p.Orchestrator.node = Node.id node)
+        | Closed | Open _ | Probation _ ->
+          if expire st.nic_cb ~round then begin
             Node.unquarantine node;
-            st.breaker <- Probation { until_round = round + t.config.probation_rounds };
             (* Readmit with a clean slate — probation re-trips on the
                first sign of relapse anyway. *)
-            st.score <- max st.score t.config.health_floor;
+            st.score <- max st.score health_floor;
             Telemetry.readmission tel
           end
-        | Probation { until_round } ->
-          if st.score < t.config.health_floor then trip t ~round i node
-          else if round >= until_round then st.breaker <- Closed
       end)
     (Orchestrator.nodes t.orch);
   watchdog t;

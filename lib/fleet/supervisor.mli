@@ -1,48 +1,48 @@
 (** The self-healing layer: health checks, bounded retry with backoff,
     circuit-breaker quarantine, and an accelerator watchdog.
 
-    PR 1's fleet recovered from *fail-stop* losses (a NIC dies, an NF is
+    {!Failure} recovers from *fail-stop* losses (a NIC dies, an NF is
     destroyed). This module handles the *gray* failures {!Faults} injects:
     devices that are still up but stalling, corrupting, or hanging. The
     supervisor reacts only through the public control-plane API — place,
-    evict, [nf_destroy] — so every recovery path exercises the same
+    evict, and {!Orchestrator.destroy_verified}, the one verified teardown
+    it shares with {!Failure} — so every recovery path exercises the same
     attestation and scrub machinery as a first placement, and the paper's
     invariants (no unattested function runs; teardown scrubs) are
-    re-verified rather than assumed after every repair.
+    re-verified rather than assumed after every repair.  The supervisor
+    adds only the scrub's cost on its clock and the eviction timestamp
+    behind each recovery sample.
+
+    One circuit breaker serves both the NICs and the tenants (see
+    {!breaker}); a NIC trip also quarantines the NIC, a tenant trip only
+    the tenant's NFs.
+
+    Its settings are constants, not a config: up to 6 placement attempts
+    with backoff from 50k cycles (capped at 5M) plus up to a quarter of
+    jitter; 600k cycles charged per attestation and 120k per verified
+    scrub; a NIC health score that loses 7 per device fault and 20 per
+    failed probe, regains 15 per tick and trips below 40; a round is bad
+    for a tenant when over half its requests miss their SLO, and two bad
+    rounds in a row are a sustained violation; a 50M-cycle
+    {!watchdog_budget}.
 
     All randomness (backoff jitter) comes from one seeded stream, and
     time is a logical cycle clock, so a seeded run replays its recovery
     schedule byte for byte. *)
 
-type config = {
-  max_attempts : int; (* bounded retry per placement *)
-  backoff_base : int; (* cycles before the first retry *)
-  backoff_cap : int; (* ceiling on a single backoff step *)
-  health_floor : int; (* breaker trips when a NIC's score sinks below *)
-  fault_penalty : int; (* score lost per device fault since last tick *)
-  recovery_bonus : int; (* score regained per quiet tick *)
-  probation_rounds : int; (* rounds a tripped NIC sits out (doubles per re-trip) *)
-  watchdog_budget : int; (* cycles an accelerator canary may take *)
-  scrub_cost : int; (* cycles charged per verified teardown scrub *)
-  attest_cost : int; (* cycles charged per successful stage + attest *)
-  slo_bad_share : float; (* violation fraction that marks a tenant's round bad *)
-  slo_patience : int; (* consecutive bad rounds = "sustained" violation *)
-}
-
-val default_config : config
-
-(** Per-NIC circuit breaker: [Closed] (healthy) → [Open] (quarantined
-    until the round shown, window doubling on each re-trip) →
-    [Probation] (readmitted, re-trips at the first relapse) → [Closed]. *)
+(** Circuit breaker, per NIC and per tenant: [Closed] (healthy) →
+    [Open] (quarantined until the round shown: 2 rounds on the first
+    trip, doubling per re-trip up to 32) → [Probation] (readmitted for 2
+    rounds, re-trips at the first relapse) → [Closed]. *)
 type breaker = Closed | Open of { until_round : int } | Probation of { until_round : int }
 
 type t
 
-(** [create ~seed orch config] — the supervisor's jitter stream derives
-    from [seed]; recovery-latency samples are also observed into the
+(** [create ~seed orch] — the supervisor's jitter stream derives from
+    [seed]; recovery-latency samples are also observed into the
     [fleet_recovery_ms] histogram of the orchestrator's telemetry
     registry. *)
-val create : seed:int -> Orchestrator.t -> config -> t
+val create : seed:int -> Orchestrator.t -> t
 
 (** The logical cycle clock (advanced by ticks and backoff waits). *)
 val clock : t -> int
@@ -77,29 +77,29 @@ type qos_round = { violations : int; samples : int; over_credits : int }
 
 (** [note_qos t ~round stats] — one SLO supervision pass over per-tenant
     round deltas.  Expires quarantine windows into probation (re-placing
-    the drained tenant), closes clean probations, scores each tenant's
-    round against [slo_bad_share], and on a sustained violation
-    ([slo_patience] consecutive bad rounds) trips the breaker of the
-    top over-guarantee consumer — windows double per re-trip exactly
-    like the NIC breaker. *)
+    the drained tenant), closes clean probations, marks a tenant's round
+    bad when over half its samples violated the SLO, and on a sustained
+    violation (two consecutive bad rounds) trips the breaker of the top
+    over-guarantee consumer, with the NIC breaker's windows.  {!tick}
+    does not re-place a tenant while its breaker is [Open]. *)
 val note_qos : t -> round:int -> (int * qos_round) list -> unit
 
 (** Current breaker state of a tenant ([Closed] if never reported). *)
 val tenant_breaker : t -> tenant:int -> breaker
 
-(** True while the tenant's breaker is [Open] — {!tick} will not
-    re-place its NFs. *)
-val tenant_quarantined : t -> tenant:int -> bool
-
 (** [place_with_retry t tenant] — {!Orchestrator.replace} under bounded
     retry: transient failures (stage faults, attestation rejections)
-    back off exponentially with seeded jitter and try again, up to
-    [max_attempts]; [No_capacity] alarms and returns immediately. *)
+    back off exponentially with seeded jitter and try again, up to 6
+    attempts; [No_capacity] alarms and returns immediately. *)
 val place_with_retry : t -> Orchestrator.tenant -> (unit, Orchestrator.place_error) result
 
 (** [note_evict t tenant] — evict, timestamping the displacement so the
     eventual re-attestation yields a recovery-latency sample. *)
 val note_evict : t -> Orchestrator.tenant -> unit
+
+(** Cycles an accelerator canary may take before {!tick}'s watchdog
+    fails its NF over. *)
+val watchdog_budget : int
 
 (** One supervision pass: score every alive NIC from fault telemetry and
     active probes (bus heartbeat, DMA pattern loopback), run breaker

@@ -22,7 +22,10 @@ type demand = {
   regions : int list;
 }
 
-let demand_of_kind ?(bytes_per_mb = 1024) kind =
+(* Simulated bytes per profiled MB. *)
+let bytes_per_mb = 1024
+
+let demand_of_kind kind =
   let p = profile kind in
   let mem_bytes = max (16 * 1024) (int_of_float (Memprof.Profiles.total_mb p *. float_of_int bytes_per_mb)) in
   (* Only the DPI tenant claims an accelerator cluster; the other five

@@ -5,10 +5,10 @@
     Its *demand* — how much on-NIC RAM, how many cores,
     which accelerator clusters, and how many locked TLB entries — is
     derived from the measured memory profiles of {!Memprof.Profiles}
-    (Table 6). RAM demands are scaled down by a configurable factor so a
-    whole rack simulates quickly; the TLB-entry budget is computed from
-    the *full-scale* regions, because that is what sizes the real locked
-    TLBs (§5.2). *)
+    (Table 6). RAM demands are scaled down 1024x (one profiled MB becomes
+    1 KB) so a whole rack simulates quickly; the TLB-entry budget is
+    computed from the *full-scale* regions, because that is what sizes
+    the real locked TLBs (§5.2). *)
 
 type kind = Fw | Dpi | Nat | Lb | Lpm | Mon | Ckf | Synp
 
@@ -26,10 +26,9 @@ type demand = {
   regions : int list; (* full-scale region bytes, for TLB budgeting *)
 }
 
-(** [demand_of_kind ?bytes_per_mb kind] — [bytes_per_mb] is the scale
-    factor mapping one profiled MB to simulated bytes (default 1024:
-    1 MB -> 1 KB, so the Monitor's ~360 MB becomes ~360 KB). *)
-val demand_of_kind : ?bytes_per_mb:int -> kind -> demand
+(** [demand_of_kind kind] — one profiled MB becomes 1 KB of simulated
+    RAM (the Monitor's ~360 MB becomes ~360 KB), with a 16 KB floor. *)
+val demand_of_kind : kind -> demand
 
 (** Locked TLB entries this demand needs on a NIC offering [page_sizes]
     (computed from the full-scale regions via {!Costmodel.Page_packing}). *)

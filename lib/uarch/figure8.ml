@@ -1,7 +1,5 @@
 open Nicsim
 
-type point = { threads : int; frame_bytes : int; mpps : float }
-
 let nic_hz = 1.2e9
 
 (* Per-packet generation cost on a producer core (build headers, touch
@@ -29,11 +27,3 @@ let simulate ?(kind = Accel.Dpi) ?(packets = 4_000) ~threads ~frame_bytes () =
     if done_at > !last_completion then last_completion := done_at
   done;
   float_of_int packets /. (float_of_int !last_completion /. nic_hz) /. 1e6
-
-let figure8 ?packets () =
-  List.concat_map
-    (fun threads ->
-      List.map
-        (fun frame_bytes -> { threads; frame_bytes; mpps = simulate ?packets ~threads ~frame_bytes () })
-        Trace.Flowgen.figure8_frame_sizes)
-    [ 16; 32; 48 ]

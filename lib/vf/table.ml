@@ -17,12 +17,14 @@ open Nicsim
 type config = {
   vfs : int; (* VF slots in the table *)
   quantum : int; (* stage-1 byte quantum per weight unit *)
-  inner_quantum : int; (* stage-2 per-flow DRR quantum *)
   tx_quota : int; (* max queued TX descriptors per VF *)
   rx_quota : int; (* max queued RX descriptors per VF *)
 }
 
-let default_config = { vfs = 256; quantum = 1024; inner_quantum = 1024; tx_quota = 128; rx_quota = 64 }
+let default_config = { vfs = 256; quantum = 1024; tx_quota = 128; rx_quota = 64 }
+
+(* Stage 2's per-flow DRR quantum, in bytes. *)
+let inner_quantum = 1024
 
 type desc = { flow : int; bytes : int }
 
@@ -78,7 +80,7 @@ let create machine config =
             rx = Queue.create ();
             rx_drops = 0;
           });
-    hier = Sched.Hier.create ~inner:(Sched.Drr { quantum = config.inner_quantum }) ~quantum:config.quantum ();
+    hier = Sched.Hier.create ~inner:(Sched.Drr { quantum = inner_quantum }) ~quantum:config.quantum ();
     attached = 0;
     scheduled = 0;
     sink = Obs.null;

@@ -15,13 +15,13 @@
 type config = {
   vfs : int;  (** VF slots in the table *)
   quantum : int;  (** stage-1 byte quantum per weight unit *)
-  inner_quantum : int;  (** stage-2 per-flow DRR quantum *)
   tx_quota : int;  (** max queued TX descriptors per VF *)
   rx_quota : int;  (** max queued RX descriptors per VF *)
 }
 
 val default_config : config
-(** 256 VFs, 1 KiB quanta, 128/64 TX/RX descriptors per VF. *)
+(** 256 VFs, 1 KiB stage-1 quantum, 128/64 TX/RX descriptors per VF.
+    Stage 2's per-flow DRR quantum is always 1 KiB. *)
 
 type desc = { flow : int; bytes : int }
 (** A queued descriptor: flow key and frame bytes. *)

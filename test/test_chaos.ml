@@ -75,7 +75,7 @@ let test_deterministic_replay () =
 let test_quarantine_drain_readmit () =
   let orch =
     Fleet.Orchestrator.create
-      { Fleet.Orchestrator.seed = 9; n_nics = 3; n_tenants = 6; policy = Fleet.Policy.First_fit; bytes_per_mb = 1024 }
+      { Fleet.Orchestrator.seed = 9; n_nics = 3; n_tenants = 6; policy = Fleet.Policy.First_fit }
   in
   let nodes = Fleet.Orchestrator.nodes orch in
   Alcotest.(check int) "all placed at boot" 6 (Fleet.Orchestrator.attested_count orch);
@@ -83,7 +83,7 @@ let test_quarantine_drain_readmit () =
   Nicsim.Machine.set_faults
     (Snic.Api.machine (Fleet.Node.api nodes.(0)))
     (Faults.plan ~seed:9 (Faults.storm ~intensity:1e6 ()));
-  let sup = Fleet.Supervisor.create ~seed:9 orch Fleet.Supervisor.default_config in
+  let sup = Fleet.Supervisor.create ~seed:9 orch in
   let tripped = ref false and probation = ref false and drained = ref false in
   for round = 0 to 11 do
     Fleet.Supervisor.tick sup ~round;
@@ -119,16 +119,78 @@ let test_quarantine_drain_readmit () =
     (Fleet.Supervisor.recovery_samples_ms sup);
   Alcotest.(check int) "all tenants re-attested" 6 (Fleet.Orchestrator.attested_count orch)
 
+(* The tenant breaker from synthetic SLO rounds: tenant 0 burns
+   over-guarantee credit while tenant 1 misses its SLO.  Two bad rounds
+   trip tenant 0 and drain it; when the window ends it is re-placed on
+   probation, and two more bad rounds trip it again, each window twice
+   the last, capped at 32 rounds. *)
+let test_tenant_breaker_windows () =
+  let orch =
+    Fleet.Orchestrator.create
+      { Fleet.Orchestrator.seed = 31; n_nics = 2; n_tenants = 2; policy = Fleet.Policy.First_fit }
+  in
+  let sup = Fleet.Supervisor.create ~seed:31 orch in
+  let noisy = (Fleet.Orchestrator.tenants orch).(0) in
+  let placed () = noisy.Fleet.Orchestrator.placement <> None in
+  let str = function
+    | Fleet.Supervisor.Closed -> "closed"
+    | Fleet.Supervisor.Open { until_round } -> Printf.sprintf "open until %d" until_round
+    | Fleet.Supervisor.Probation { until_round } -> Printf.sprintf "probation until %d" until_round
+  in
+  (* One round's deltas; returns tenant 0's breaker afterwards. *)
+  let pass ~round ~victim_bad =
+    Fleet.Supervisor.note_qos sup ~round
+      [
+        (0, { Fleet.Supervisor.violations = 0; samples = 10; over_credits = 100 });
+        (1, { Fleet.Supervisor.violations = (if victim_bad then 10 else 0); samples = 10; over_credits = 0 });
+      ];
+    str (Fleet.Supervisor.tenant_breaker sup ~tenant:0)
+  in
+  Alcotest.(check string) "one bad round is a blip" "closed" (pass ~round:0 ~victim_bad:true);
+  Alcotest.(check string) "two bad rounds trip the noisy tenant" "open until 3" (pass ~round:1 ~victim_bad:true);
+  (* From a trip at [at] with window [w]: sit the window out, readmit,
+     relapse for two rounds; returns the next trip's round. *)
+  let cycle ~at ~w =
+    let until = at + w in
+    for round = at + 1 to until - 1 do
+      Alcotest.(check string) "open until the window ends" (Printf.sprintf "open until %d" until)
+        (pass ~round ~victim_bad:false);
+      Alcotest.(check bool) "drained while open" false (placed ())
+    done;
+    Alcotest.(check string) "readmitted on probation" (Printf.sprintf "probation until %d" (until + 2))
+      (pass ~round:until ~victim_bad:false);
+    Alcotest.(check bool) "re-placed on readmission" true (placed ());
+    Alcotest.(check string) "one relapse round is a blip" (Printf.sprintf "probation until %d" (until + 2))
+      (pass ~round:(until + 1) ~victim_bad:true);
+    let next = until + 2 in
+    let w' = min 32 (2 * w) in
+    Alcotest.(check string) "two relapse rounds trip it again" (Printf.sprintf "open until %d" (next + w'))
+      (pass ~round:next ~victim_bad:true);
+    (next, w')
+  in
+  let windows = ref [ 2 ] and at = ref 1 in
+  for _ = 1 to 5 do
+    let next, w = cycle ~at:!at ~w:(List.hd !windows) in
+    at := next;
+    windows := w :: !windows
+  done;
+  Alcotest.(check (list int)) "windows" [ 2; 4; 8; 16; 32; 32 ] (List.rev !windows);
+  let tel = Fleet.Orchestrator.telemetry orch in
+  Alcotest.(check int) "six trips" 6 (Fleet.Telemetry.tenant_quarantines tel);
+  Alcotest.(check int) "five readmissions" 5 (Fleet.Telemetry.tenant_readmissions tel);
+  Alcotest.(check int) "every drain scrub verified" 0 (Fleet.Supervisor.scrub_failures sup);
+  Alcotest.(check int) "nothing runs unattested" 0 (Fleet.Orchestrator.unattested_running orch)
+
 (* Retry/backoff: with the staging DMA failing every time on every NIC,
    a displaced tenant exhausts its bounded retries (clock advancing each
    backoff) and comes home only once the fault clears. *)
 let test_retry_backoff_exhaustion () =
   let orch =
     Fleet.Orchestrator.create
-      { Fleet.Orchestrator.seed = 17; n_nics = 2; n_tenants = 2; policy = Fleet.Policy.First_fit; bytes_per_mb = 1024 }
+      { Fleet.Orchestrator.seed = 17; n_nics = 2; n_tenants = 2; policy = Fleet.Policy.First_fit }
   in
   let nodes = Fleet.Orchestrator.nodes orch in
-  let sup = Fleet.Supervisor.create ~seed:17 orch Fleet.Supervisor.default_config in
+  let sup = Fleet.Supervisor.create ~seed:17 orch in
   let tenant = (Fleet.Orchestrator.tenants orch).(0) in
   Fleet.Supervisor.note_evict sup tenant;
   let plans =
@@ -165,9 +227,9 @@ let test_retry_backoff_exhaustion () =
 let test_no_capacity_alarms () =
   let orch =
     Fleet.Orchestrator.create
-      { Fleet.Orchestrator.seed = 23; n_nics = 2; n_tenants = 2; policy = Fleet.Policy.First_fit; bytes_per_mb = 1024 }
+      { Fleet.Orchestrator.seed = 23; n_nics = 2; n_tenants = 2; policy = Fleet.Policy.First_fit }
   in
-  let sup = Fleet.Supervisor.create ~seed:23 orch Fleet.Supervisor.default_config in
+  let sup = Fleet.Supervisor.create ~seed:23 orch in
   Array.iter Fleet.Node.kill (Fleet.Orchestrator.nodes orch);
   let tenant = (Fleet.Orchestrator.tenants orch).(0) in
   Fleet.Orchestrator.evict orch tenant;
@@ -186,6 +248,7 @@ let suite =
     Alcotest.test_case "storm invariants (seed 20240)" `Slow test_storm_seed_20240;
     Alcotest.test_case "deterministic replay" `Slow test_deterministic_replay;
     Alcotest.test_case "quarantine, drain, readmit" `Slow test_quarantine_drain_readmit;
+    Alcotest.test_case "tenant breaker windows 2..32" `Quick test_tenant_breaker_windows;
     Alcotest.test_case "bounded retry with backoff" `Quick test_retry_backoff_exhaustion;
     Alcotest.test_case "no-capacity alarms immediately" `Quick test_no_capacity_alarms;
     Alcotest.test_case "gates: pinned, a doctored figure fails" `Slow test_gates;

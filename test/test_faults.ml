@@ -115,7 +115,7 @@ let test_accel_hang_horizon () =
   (* The watchdog budget must sit far below the horizon (and far above an
      honest request) for hang detection to be meaningful. *)
   Alcotest.(check bool) "watchdog budget below horizon" true
-    (Fleet.Supervisor.default_config.Fleet.Supervisor.watchdog_budget < Accel.hang_horizon)
+    (Fleet.Supervisor.watchdog_budget < Accel.hang_horizon)
 
 let test_accel_garbage_flag () =
   let a = Accel.create ~kind:Accel.Zip ~threads:16 ~cluster_size:4 in

@@ -153,7 +153,7 @@ let test_deterministic_replay () =
 let test_place_typed_no_capacity () =
   let orch =
     Fleet.Orchestrator.create
-      { Fleet.Orchestrator.seed = 11; n_nics = 2; n_tenants = 3; policy = Fleet.Policy.First_fit; bytes_per_mb = 1024 }
+      { Fleet.Orchestrator.seed = 11; n_nics = 2; n_tenants = 3; policy = Fleet.Policy.First_fit }
   in
   let tenant = (Fleet.Orchestrator.tenants orch).(0) in
   Fleet.Orchestrator.evict orch tenant;
@@ -169,7 +169,7 @@ let test_place_typed_no_capacity () =
 let test_place_typed_stage_fault () =
   let orch =
     Fleet.Orchestrator.create
-      { Fleet.Orchestrator.seed = 11; n_nics = 2; n_tenants = 2; policy = Fleet.Policy.First_fit; bytes_per_mb = 1024 }
+      { Fleet.Orchestrator.seed = 11; n_nics = 2; n_tenants = 2; policy = Fleet.Policy.First_fit }
   in
   let tenant = (Fleet.Orchestrator.tenants orch).(0) in
   Fleet.Orchestrator.evict orch tenant;
@@ -191,7 +191,7 @@ let test_place_typed_stage_fault () =
 let test_evict_replace_idempotent () =
   let orch =
     Fleet.Orchestrator.create
-      { Fleet.Orchestrator.seed = 5; n_nics = 4; n_tenants = 8; policy = Fleet.Policy.First_fit; bytes_per_mb = 1024 }
+      { Fleet.Orchestrator.seed = 5; n_nics = 4; n_tenants = 8; policy = Fleet.Policy.First_fit }
   in
   let tel = Fleet.Orchestrator.telemetry orch in
   let tenant = (Fleet.Orchestrator.tenants orch).(0) in
@@ -239,7 +239,7 @@ let test_evict_replace_idempotent () =
 let test_failure_inject_clamps () =
   let orch =
     Fleet.Orchestrator.create
-      { Fleet.Orchestrator.seed = 13; n_nics = 4; n_tenants = 8; policy = Fleet.Policy.First_fit; bytes_per_mb = 1024 }
+      { Fleet.Orchestrator.seed = 13; n_nics = 4; n_tenants = 8; policy = Fleet.Policy.First_fit }
   in
   let rng = Trace.Rng.create ~seed:13 in
   (* Budgets far beyond the population clamp instead of raising, and the
@@ -268,7 +268,7 @@ let test_nic_kill_drains_in_flight () =
   let load_and_kill () =
     let orch =
       Fleet.Orchestrator.create
-        { Fleet.Orchestrator.seed = 13; n_nics = 3; n_tenants = 6; policy = Fleet.Policy.First_fit; bytes_per_mb = 1024 }
+        { Fleet.Orchestrator.seed = 13; n_nics = 3; n_tenants = 6; policy = Fleet.Policy.First_fit }
     in
     (* Park frames on every tenant's RX ring (matching its steering
        port) without draining any pipeline: a mid-batch snapshot. *)
@@ -315,7 +315,7 @@ let test_nic_kill_drains_in_flight () =
 let test_failover_skips_quarantined () =
   let orch =
     Fleet.Orchestrator.create
-      { Fleet.Orchestrator.seed = 21; n_nics = 4; n_tenants = 6; policy = Fleet.Policy.Spread; bytes_per_mb = 1024 }
+      { Fleet.Orchestrator.seed = 21; n_nics = 4; n_tenants = 6; policy = Fleet.Policy.Spread }
   in
   let nodes = Fleet.Orchestrator.nodes orch in
   let quarantined = nodes.(1) in
@@ -340,7 +340,7 @@ let test_failover_skips_quarantined () =
      and unquarantined. *)
   let orch2 =
     Fleet.Orchestrator.create
-      { Fleet.Orchestrator.seed = 22; n_nics = 4; n_tenants = 6; policy = Fleet.Policy.Spread; bytes_per_mb = 1024 }
+      { Fleet.Orchestrator.seed = 22; n_nics = 4; n_tenants = 6; policy = Fleet.Policy.Spread }
   in
   let bad = (Fleet.Orchestrator.nodes orch2).(2) in
   Fleet.Node.quarantine bad;

@@ -106,11 +106,7 @@ let test_figure5_apis () =
   Alcotest.(check int) "eight NFs again" 8 (List.length f5b)
 
 let test_figure8_shape () =
-  let points = Uarch.Figure8.figure8 ~packets:800 () in
-  Alcotest.(check int) "12 points" 12 (List.length points);
-  let get threads frame =
-    (List.find (fun (p : Uarch.Figure8.point) -> p.threads = threads && p.frame_bytes = frame) points).Uarch.Figure8.mpps
-  in
+  let get threads frame = Uarch.Figure8.simulate ~packets:800 ~threads ~frame_bytes:frame () in
   (* Small frames: producer-bound, flat in cluster size. *)
   Alcotest.(check bool) "64B flat" true (Float.abs (get 16 64 -. get 48 64) < 0.05);
   (* Jumbo frames: accelerator-bound, scaling with threads. *)
