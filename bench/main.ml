@@ -191,6 +191,9 @@ let microbenches () =
   let flow = Net.Packet.flow pkt in
   let frame = Net.Packet.serialize pkt in
   let kb = String.make 1024 'x' in
+  let frame_1500 = String.make 1500 'f' in
+  let hmac_key = Crypto.Hmac.keyed (String.make 32 'k') in
+  let rsa_key = Crypto.Rsa.generate (Random.State.make [| 1 |]) ~bits:512 in
   let compressible = String.concat "" (List.init 128 (fun i -> Printf.sprintf "row %04d value=ok;" i)) in
   let raid_blocks = Array.init 4 (fun i -> String.make 1024 (Char.chr (65 + i))) in
   let vnic_api = Snic.Api.boot () in
@@ -213,6 +216,9 @@ let microbenches () =
       Test.make ~name:"packet parse" (Staged.stage (fun () -> ignore (Net.Packet.parse frame)));
       Test.make ~name:"packet serialize" (Staged.stage (fun () -> ignore (Net.Packet.serialize pkt)));
       Test.make ~name:"sha256 1KB" (Staged.stage (fun () -> ignore (Crypto.Sha256.digest kb)));
+      Test.make ~name:"hmac 1500B frame"
+        (Staged.stage (fun () -> ignore (Crypto.Hmac.mac_sub hmac_key frame_1500 ~pos:0 ~len:1500)));
+      Test.make ~name:"rsa-512 sign" (Staged.stage (fun () -> ignore (Crypto.Rsa.sign rsa_key "quote")));
       Test.make ~name:"5-tuple hash" (Staged.stage (fun () -> ignore (Net.Five_tuple.hash flow)));
       Test.make ~name:"lz77 compress 4KB" (Staged.stage (fun () -> ignore (Accelfn.Lz77.compress compressible)));
       Test.make ~name:"raid encode 4x1KB" (Staged.stage (fun () -> ignore (Accelfn.Raid.encode raid_blocks)));

@@ -243,19 +243,96 @@ let divmod a b =
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
+(* Square-and-multiply with a full division per step: the path for an
+   even modulus, which Montgomery reduction cannot take. *)
+let modpow_plain b exponent modulus =
+  let b = ref (rem b modulus) in
+  let result = ref one in
+  let bits = bit_length exponent in
+  for i = 0 to bits - 1 do
+    if testbit exponent i then result := rem (mul !result !b) modulus;
+    if i < bits - 1 then b := rem (mul !b !b) modulus
+  done;
+  !result
+
+(* Montgomery arithmetic modulo an odd [m] of [n] limbs, with R = 2^(26n).
+   [m'] is -m^-1 mod 2^26: Newton's step x <- x(2 - mx) doubles the
+   correct low bits, and any odd [m] is its own inverse mod 2^3. *)
+let mont_neg_inv m0 =
+  let x = ref m0 in
+  for _ = 1 to 4 do
+    x := !x * (2 - (m0 * !x)) land limb_mask
+  done;
+  (base - !x) land limb_mask
+
+(* [mont_mul m m' a b t dst] sets [dst] to a*b/R mod m, for [a] and [b]
+   below [m], all held in exactly [n] limbs. [t] is n+1 limbs of scratch;
+   [dst] may be [a] or [b]. Those lengths bound the inner loop's unsafe
+   gets. Each outer step adds a_i*b and the multiple u*m of [m] that
+   zeroes the low limb, then drops that limb, so [t] stays below 2m and
+   one subtraction finishes. *)
+let mont_mul m m' a b t dst =
+  let n = Array.length m in
+  Array.fill t 0 (n + 1) 0;
+  let b0 = b.(0) and m0 = m.(0) in
+  for i = 0 to n - 1 do
+    let ai = a.(i) in
+    let s = t.(0) + (ai * b0) in
+    let u = (s land limb_mask) * m' land limb_mask in
+    let carry = ref ((s + (u * m0)) lsr limb_bits) in
+    for j = 1 to n - 1 do
+      let s = Array.unsafe_get t j + (ai * Array.unsafe_get b j) + (u * Array.unsafe_get m j) + !carry in
+      Array.unsafe_set t (j - 1) (s land limb_mask);
+      carry := s lsr limb_bits
+    done;
+    let s = t.(n) + !carry in
+    t.(n - 1) <- s land limb_mask;
+    t.(n) <- s lsr limb_bits
+  done;
+  (* [top] is the highest limb where t and m differ, or -1. *)
+  let top = ref (n - 1) in
+  while !top >= 0 && t.(!top) = m.(!top) do
+    decr top
+  done;
+  if t.(n) = 0 && !top >= 0 && t.(!top) < m.(!top) then Array.blit t 0 dst 0 n
+  else begin
+    let borrow = ref 0 in
+    for i = 0 to n - 1 do
+      let d = t.(i) - m.(i) - !borrow in
+      dst.(i) <- d land limb_mask;
+      borrow := if d < 0 then 1 else 0
+    done
+  end
+
+(* Left-to-right square-and-multiply in Montgomery form. The scratch is
+   allocated once per call; no step allocates or divides. *)
+let modpow_mont b exponent m =
+  let n = Array.length m in
+  let m' = mont_neg_inv m.(0) in
+  (* [to_mont v] is vR mod m, widened to n limbs. *)
+  let to_mont v =
+    let r = Array.make n 0 in
+    let v = rem (shift_left v (n * limb_bits)) m in
+    Array.blit v 0 r 0 (Array.length v);
+    r
+  in
+  let bm = to_mont b in
+  let x = to_mont one and t = Array.make (n + 1) 0 in
+  for i = bit_length exponent - 1 downto 0 do
+    mont_mul m m' x x t x;
+    if testbit exponent i then mont_mul m m' x bm t x
+  done;
+  (* Leaving Montgomery form is one more multiplication, by 1. *)
+  let unit = Array.make n 0 in
+  unit.(0) <- 1;
+  mont_mul m m' x unit t x;
+  normalize x
+
 let modpow ~base:b ~exponent ~modulus =
   if is_zero modulus then raise Division_by_zero;
   if equal modulus one then zero
-  else begin
-    let b = ref (rem b modulus) in
-    let result = ref one in
-    let bits = bit_length exponent in
-    for i = 0 to bits - 1 do
-      if testbit exponent i then result := rem (mul !result !b) modulus;
-      if i < bits - 1 then b := rem (mul !b !b) modulus
-    done;
-    !result
-  end
+  else if testbit modulus 0 then modpow_mont b exponent modulus
+  else modpow_plain b exponent modulus
 
 let rec gcd a b = if is_zero b then a else gcd b (rem a b)
 

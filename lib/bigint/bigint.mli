@@ -59,8 +59,12 @@ val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 
 (** [modpow ~base ~exponent ~modulus] computes [base^exponent mod modulus]
-    by square-and-multiply. Raises [Division_by_zero] if [modulus] is
-    zero. *)
+    by square-and-multiply. An odd modulus (every RSA modulus, DH prime and
+    Miller–Rabin candidate) takes Montgomery multiplication, with no
+    allocation or division per step; an even one takes a full [rem] after
+    each product. [base] may exceed [modulus], and [x^0 = 1] for any [x],
+    except that every power mod 1 is 0. Raises [Division_by_zero] if
+    [modulus] is zero. *)
 val modpow : base:t -> exponent:t -> modulus:t -> t
 
 val gcd : t -> t -> t

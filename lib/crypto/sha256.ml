@@ -1,5 +1,7 @@
-(* FIPS 180-4 SHA-256 over native ints masked to 32 bits. OCaml ints are 63
-   bits wide, so 32-bit adds never overflow before masking. *)
+(* FIPS 180-4 SHA-256 over native ints. OCaml ints are 63 bits wide, so a
+   32-bit word is masked only where it is rotated or stored: the low 32
+   bits of [+], [lxor], [land], [lor] and [lnot] depend only on the low 32
+   bits of their operands, and only a right shift moves high bits down. *)
 
 let mask = 0xFFFFFFFF
 
@@ -15,10 +17,10 @@ let k =
 
 type ctx = {
   h : int array; (* 8 state words *)
-  block : Bytes.t; (* 64-byte input block being filled *)
+  block : Bytes.t; (* a partial 64-byte block; whole blocks are compressed where they lie *)
   mutable fill : int; (* bytes currently in [block] *)
   mutable total : int; (* total bytes absorbed *)
-  w : int array; (* 64-entry message schedule, reused across blocks *)
+  w : int array; (* the last 16 words of the message schedule *)
 }
 
 let init () =
@@ -27,46 +29,57 @@ let init () =
     block = Bytes.create 64;
     fill = 0;
     total = 0;
-    w = Array.make 64 0;
+    w = Array.make 16 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* A 32-bit [x] held twice: bits 0..62 of [x lor (x lsl 32)] are [x]
+   followed by its low 31 bits, so shifting it right by [n <= 31] leaves
+   [rotr x n] in the low 32 bits. *)
+let twice x = x lor (x lsl 32)
 
-let compress ctx =
-  let w = ctx.w and b = ctx.block in
+(* Compress the 64 bytes of [src] from [off]. Round [t] reads schedule
+   word [t] from [w.(t land 15)]; from [t = 16] on it first overwrites
+   that slot, which held word t-16, with word [t] computed from words
+   t-16, t-15, t-7 and t-2. The round loop bounds every unsafe index of
+   [k] to 0..63 and of [w] to 0..15. *)
+let compress ctx src off =
+  let w = ctx.w in
   for t = 0 to 15 do
-    w.(t) <-
-      (Char.code (Bytes.get b (4 * t)) lsl 24)
-      lor (Char.code (Bytes.get b ((4 * t) + 1)) lsl 16)
-      lor (Char.code (Bytes.get b ((4 * t) + 2)) lsl 8)
-      lor Char.code (Bytes.get b ((4 * t) + 3))
-  done;
-  for t = 16 to 63 do
-    let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3) in
-    let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10) in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
+    Array.unsafe_set w t (Int32.to_int (Bytes.get_int32_be src (off + (4 * t))) land mask)
   done;
   let h = ctx.h in
-  let a = ref h.(0) and bb = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !bb) lxor (!a land !c) lxor (!bb land !c) in
-    let t2 = (s0 + maj) land mask in
+    let wt =
+      if t < 16 then Array.unsafe_get w t
+      else begin
+        let x = Array.unsafe_get w ((t + 1) land 15) and y = Array.unsafe_get w ((t + 14) land 15) in
+        let xx = twice x and yy = twice y in
+        let s0 = (xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3) in
+        let s1 = (yy lsr 17) lxor (yy lsr 19) lxor (y lsr 10) in
+        let v = (Array.unsafe_get w (t land 15) + s0 + Array.unsafe_get w ((t + 9) land 15) + s1) land mask in
+        Array.unsafe_set w (t land 15) v;
+        v
+      end
+    in
+    let ee = twice !e and aa = twice !a in
+    let s1 = (ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25) in
+    let ch = !g lxor (!e land (!f lxor !g)) in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k t + wt in
+    let s0 = (aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22) in
+    let maj = (!a land !b) lor (!c land (!a lor !b)) in
     hh := !g;
     g := !f;
     f := !e;
     e := (!d + t1) land mask;
     d := !c;
-    c := !bb;
-    bb := !a;
-    a := (t1 + t2) land mask
+    c := !b;
+    b := !a;
+    a := (t1 + s0 + maj) land mask
   done;
   h.(0) <- (h.(0) + !a) land mask;
-  h.(1) <- (h.(1) + !bb) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
   h.(2) <- (h.(2) + !c) land mask;
   h.(3) <- (h.(3) + !d) land mask;
   h.(4) <- (h.(4) + !e) land mask;
@@ -74,22 +87,33 @@ let compress ctx =
   h.(6) <- (h.(6) + !g) land mask;
   h.(7) <- (h.(7) + !hh) land mask
 
-let copy ctx = { ctx with h = Array.copy ctx.h; block = Bytes.copy ctx.block; w = Array.make 64 0 }
+let copy ctx = { ctx with h = Array.copy ctx.h; block = Bytes.copy ctx.block; w = Array.make 16 0 }
 
+(* Top up a pending partial block first, then compress whole blocks
+   straight from [src] and stage only the tail. *)
 let absorb ctx src pos len =
   ctx.total <- ctx.total + len;
   let pos = ref pos and len = ref len in
-  while !len > 0 do
+  if ctx.fill > 0 then begin
     let n = min !len (64 - ctx.fill) in
     Bytes.blit src !pos ctx.block ctx.fill n;
     ctx.fill <- ctx.fill + n;
     pos := !pos + n;
     len := !len - n;
     if ctx.fill = 64 then begin
-      compress ctx;
+      compress ctx ctx.block 0;
       ctx.fill <- 0
     end
-  done
+  end;
+  while !len >= 64 do
+    compress ctx src !pos;
+    pos := !pos + 64;
+    len := !len - 64
+  done;
+  if !len > 0 then begin
+    Bytes.blit src !pos ctx.block 0 !len;
+    ctx.fill <- !len
+  end
 
 let feed_bytes ctx b = absorb ctx b 0 (Bytes.length b)
 let feed ctx s = feed_bytes ctx (Bytes.unsafe_of_string s)
@@ -98,29 +122,23 @@ let feed_sub ctx s ~pos ~len =
   if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Crypto.Sha256.feed_sub";
   absorb ctx (Bytes.unsafe_of_string s) pos len
 
+(* Pad in place: 0x80, zeros, and the 64-bit big-endian bit count in the
+   last 8 bytes, spilling into a second block when fewer than 9 bytes
+   are free. *)
 let finalize ctx =
-  let total_bits = ctx.total * 8 in
-  (* Append 0x80, zero padding, and the 64-bit big-endian length. *)
-  let pad_len =
-    let rem = (ctx.total + 1 + 8) mod 64 in
-    if rem = 0 then 0 else 64 - rem
-  in
-  let tail = Bytes.make (1 + pad_len + 8) '\000' in
-  Bytes.set tail 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set tail (1 + pad_len + i) (Char.chr ((total_bits lsr (8 * (7 - i))) land 0xff))
-  done;
-  (* Do not let the length-field bytes count toward [total]. *)
-  let saved = ctx.total in
-  feed_bytes ctx tail;
-  ctx.total <- saved;
+  let b = ctx.block and fill = ctx.fill in
+  Bytes.set b fill '\x80';
+  if fill >= 56 then begin
+    Bytes.fill b (fill + 1) (63 - fill) '\000';
+    compress ctx b 0;
+    Bytes.fill b 0 56 '\000'
+  end
+  else Bytes.fill b (fill + 1) (55 - fill) '\000';
+  Bytes.set_int64_be b 56 (Int64.of_int (ctx.total * 8));
+  compress ctx b 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xff))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
   Bytes.unsafe_to_string out
 

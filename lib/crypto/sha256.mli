@@ -8,7 +8,9 @@ type ctx
 
 val init : unit -> ctx
 
-(** [feed ctx s] absorbs [s]; may be called repeatedly. *)
+(** [feed ctx s] absorbs [s]; may be called repeatedly.  Whole 64-byte
+    blocks are compressed where they lie in [s]; only a partial block is
+    copied into the context. *)
 val feed : ctx -> string -> unit
 
 val feed_bytes : ctx -> bytes -> unit

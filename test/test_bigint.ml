@@ -50,7 +50,54 @@ let test_modpow () =
   let r2 = Bigint.modpow ~base:(bi 2) ~exponent:(bi 10) ~modulus:(bi 10000) in
   Alcotest.(check (option int)) "2^10" (Some 1024) (Bigint.to_int r2);
   let r3 = Bigint.modpow ~base:(bi 7) ~exponent:Bigint.zero ~modulus:(bi 13) in
-  Alcotest.(check (option int)) "x^0" (Some 1) (Bigint.to_int r3)
+  Alcotest.(check (option int)) "x^0" (Some 1) (Bigint.to_int r3);
+  (* Moduli 1, 2 and 3 (1 gives 0 whatever the power), base 0, base =
+     modulus, and exponents 0 and 1, on small moduli against [int]
+     arithmetic and on the Oakley 768-bit prime. *)
+  List.iter
+    (fun m ->
+      List.iter
+        (fun (b, e) ->
+          let want = if m = 1 then 0 else if e = 0 then 1 else b mod m in
+          Alcotest.(check (option int))
+            (Printf.sprintf "%d^%d mod %d" b e m)
+            (Some want)
+            (Bigint.to_int (Bigint.modpow ~base:(bi b) ~exponent:(bi e) ~modulus:(bi m))))
+        [ (0, 0); (0, 1); (m, 0); (m, 1); (5, 0); (5, 1) ])
+    [ 1; 2; 3 ];
+  let p = Crypto.Dh.sim_768.p in
+  let pow b e = Bigint.modpow ~base:b ~exponent:e ~modulus:p in
+  check_hex "0^1" "0" (pow Bigint.zero Bigint.one);
+  check_hex "p^1" "0" (pow p Bigint.one);
+  check_hex "p^0" "1" (pow p Bigint.zero);
+  check_hex "(p+5)^1" "5" (pow (Bigint.add p (bi 5)) Bigint.one);
+  check_hex "(p-1)^2" "1" (pow (Bigint.sub p Bigint.one) Bigint.two);
+  (* Odd composite moduli that divide the power: a result left at m
+     instead of 0 would show here.  88f9...f5b1 is 3^60. *)
+  List.iter
+    (fun (name, b, e, m) -> check_hex name "0" (Bigint.modpow ~base:(bi b) ~exponent:(bi e) ~modulus:m))
+    [
+      ("3^2 mod 9", 3, 2, bi 9);
+      ("21^3 mod 441", 21, 3, bi 441);
+      ("3^61 mod 3^60", 3, 61, Bigint.of_hex "88f924eeceeda7fe92e1f5b1");
+    ]
+
+(* Known answers computed by square-and-multiply with a full division
+   per step: the default simulated vendor's 512-bit key
+   ({!Snic.Identity.make_vendor} draws it from seed 0xC0FFEE) and one
+   signature with it.  A key generation or a private-key power that moved
+   would change either. *)
+let test_rsa_known_answers () =
+  let vendor = Snic.Identity.make_vendor ~name:"kat" () in
+  let pub =
+    "rsa:21dd63add7b4d7c6b37df721058e4847615c86cb9708a266082960e343852df5d8fad58f1e0d75744a2b239a0665f9d36b6e99a60fbd0da11774cc49b3d558b2d:10001"
+  in
+  Alcotest.(check string) "vendor key" pub (Crypto.Rsa.public_to_string (Snic.Identity.vendor_public vendor));
+  let key = Crypto.Rsa.generate (Random.State.make [| 0xC0FFEE |]) ~bits:512 in
+  Alcotest.(check string) "the same key from its seed" pub (Crypto.Rsa.public_to_string key.Crypto.Rsa.pub);
+  Alcotest.(check string) "signature"
+    "01626ed4bbe5b1fb232d3147b343a2de52bbf129e9ff1703c539d21ac5621ec6d078bc8bd0cb11cc6a6ef52cf9de7722bb712558072bab4565f5ed5bf25d1f2f64"
+    (Crypto.Sha256.to_hex (Crypto.Rsa.sign key "s-nic known answer"))
 
 let test_gcd_modinv () =
   Alcotest.(check (option int)) "gcd" (Some 6) (Bigint.to_int (Bigint.gcd (bi 54) (bi 24)));
@@ -122,6 +169,43 @@ let prop_hex_roundtrip =
       let v = Bigint.of_bytes_be s in
       Bigint.equal v (Bigint.of_hex (Bigint.to_hex v)))
 
+(* [modpow] against square-and-multiply by [mul] and [rem], on odd
+   moduli (the Montgomery path) and even ones, 1 to 1,600 bits wide with
+   RFC 3526's 1,536-bit prime one time in eight, bases up to twice the
+   modulus width, and exponents of 0 to 600 bits. *)
+let prop_modpow_reference =
+  let reference b e m =
+    let b = ref (Bigint.rem b m) and r = ref (Bigint.rem Bigint.one m) in
+    for i = 0 to Bigint.bit_length e - 1 do
+      if Bigint.testbit e i then r := Bigint.rem (Bigint.mul !r !b) m;
+      b := Bigint.rem (Bigint.mul !b !b) m
+    done;
+    !r
+  in
+  let gen =
+    QCheck.Gen.(
+      let* bits = int_range 1 1600 in
+      let* odd = bool in
+      let* dh = int_range 0 7 in
+      let* base_bits = int_range 0 (2 * bits) in
+      let* exp_bits = int_range 0 600 in
+      let* seed = int in
+      let st = Random.State.make [| seed |] in
+      let m =
+        if dh = 0 then Crypto.Dh.modp_1536.p
+        else begin
+          let m = Bigint.add (Bigint.random st ~bits:(bits - 1)) (Bigint.shift_left Bigint.one (bits - 1)) in
+          if Bigint.testbit m 0 = odd || Bigint.equal m Bigint.one then m
+          else if odd then Bigint.add m Bigint.one
+          else Bigint.sub m Bigint.one
+        end
+      in
+      return (m, Bigint.random st ~bits:base_bits, Bigint.random st ~bits:exp_bits))
+  in
+  let print (m, b, e) = Printf.sprintf "modulus=%s base=%s exponent=%s" (Bigint.to_hex m) (Bigint.to_hex b) (Bigint.to_hex e) in
+  QCheck.Test.make ~name:"modpow matches mul/rem square-and-multiply" ~count:120 (QCheck.make ~print gen)
+    (fun (m, b, e) -> Bigint.equal (Bigint.modpow ~base:b ~exponent:e ~modulus:m) (reference b e m))
+
 let suite =
   [
     Alcotest.test_case "of_int/to_int roundtrip" `Quick test_of_int_roundtrip;
@@ -139,4 +223,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_divmod_matches_int;
     QCheck_alcotest.to_alcotest prop_divmod_reconstruct;
     QCheck_alcotest.to_alcotest prop_hex_roundtrip;
+    Alcotest.test_case "rsa known answers" `Quick test_rsa_known_answers;
+    QCheck_alcotest.to_alcotest prop_modpow_reference;
   ]

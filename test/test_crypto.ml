@@ -6,7 +6,21 @@ let test_sha256_vectors () =
     "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1";
   (* 56..64-byte inputs straddle the padding boundary. *)
   check "55 a's" (String.make 55 'a') "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318";
-  check "64 a's" (String.make 64 'a') "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"
+  check "64 a's" (String.make 64 'a') "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb";
+  check "896-bit message"
+    "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
+    "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1";
+  check "one million a's" (String.make 1_000_000 'a') "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+
+(* Every length 0..300 of one byte pattern, pinned as the SHA-256 of the
+   301 digests concatenated.  The constant is Python's
+   hashlib.sha256(b"".join(hashlib.sha256(bytes((7 * i + 3) & 255 for i
+   in range(n))).digest() for n in range(301))).hexdigest(). *)
+let test_sha256_all_lengths () =
+  let pattern n = String.init n (fun i -> Char.chr (((7 * i) + 3) land 0xff)) in
+  let digests = String.concat "" (List.init 301 (fun n -> Crypto.Sha256.digest (pattern n))) in
+  Alcotest.(check string) "lengths 0..300" "7d917fbd2cf49ddff9ad0a8706bba32d204e92e71d2e369c5a03d6af29278c9f"
+    (Crypto.Sha256.to_hex (Crypto.Sha256.digest digests))
 
 let test_sha256_incremental () =
   let whole = Crypto.Sha256.digest "the quick brown fox jumps over the lazy dog" in
@@ -14,7 +28,23 @@ let test_sha256_incremental () =
   Crypto.Sha256.feed ctx "the quick brown fox";
   Crypto.Sha256.feed ctx " jumps over";
   Crypto.Sha256.feed ctx " the lazy dog";
-  Alcotest.(check string) "chunked = one-shot" (Crypto.Sha256.to_hex whole) (Crypto.Sha256.to_hex (Crypto.Sha256.finalize ctx))
+  Alcotest.(check string) "chunked = one-shot" (Crypto.Sha256.to_hex whole) (Crypto.Sha256.to_hex (Crypto.Sha256.finalize ctx));
+  (* A chunk of two and more blocks while 5 bytes are pending, through
+     each entry point. *)
+  let s = String.init 158 (fun i -> Char.chr i) in
+  let want = Crypto.Sha256.to_hex (Crypto.Sha256.digest s) in
+  List.iter
+    (fun (name, feed) ->
+      let ctx = Crypto.Sha256.init () in
+      feed ctx (String.sub s 0 5);
+      feed ctx (String.sub s 5 150);
+      feed ctx (String.sub s 155 3);
+      Alcotest.(check string) name want (Crypto.Sha256.to_hex (Crypto.Sha256.finalize ctx)))
+    [
+      ("feed", Crypto.Sha256.feed);
+      ("feed_bytes", fun ctx c -> Crypto.Sha256.feed_bytes ctx (Bytes.of_string c));
+      ("feed_sub", fun ctx c -> Crypto.Sha256.feed_sub ctx ("<" ^ c ^ ">") ~pos:1 ~len:(String.length c));
+    ]
 
 let test_hmac_rfc4231 () =
   (* RFC 4231 test case 2. *)
@@ -199,6 +229,37 @@ let prop_sha256_incremental_eq =
       Crypto.Sha256.feed ctx (String.sub s k (String.length s - k));
       String.equal (Crypto.Sha256.finalize ctx) (Crypto.Sha256.digest s))
 
+(* A message fed in random chunks, each through [feed], [feed_bytes] or
+   [feed_sub] at a nonzero offset of a larger string, hashes as it does
+   in one piece.  Chunks of up to 200 bytes often cover whole blocks
+   while a partial block is pending.  Whatever the chunk list leaves
+   over goes in as one last chunk. *)
+let prop_sha256_chunked =
+  let gen =
+    QCheck.Gen.(
+      let* msg = string_size (int_range 0 600) in
+      let* chunks = list_size (int_range 0 12) (triple (int_range 0 200) (int_range 0 2) (int_range 1 9)) in
+      return (msg, chunks))
+  in
+  let print (msg, chunks) =
+    Printf.sprintf "msg=%S chunks=[%s]" msg
+      (String.concat "; " (List.map (fun (n, how, pad) -> Printf.sprintf "(%d,%d,%d)" n how pad) chunks))
+  in
+  QCheck.Test.make ~name:"sha256 chunked feeds = digest" ~count:300 (QCheck.make ~print gen) (fun (msg, chunks) ->
+      let ctx = Crypto.Sha256.init () in
+      let feed pos (n, how, pad) =
+        let chunk = String.sub msg pos n in
+        (match how with
+        | 0 -> Crypto.Sha256.feed ctx chunk
+        | 1 -> Crypto.Sha256.feed_bytes ctx (Bytes.of_string chunk)
+        | _ -> Crypto.Sha256.feed_sub ctx (String.make pad '<' ^ chunk ^ String.make pad '>') ~pos:pad ~len:n);
+        pos + n
+      in
+      let len = String.length msg in
+      let pos = List.fold_left (fun pos (n, how, pad) -> feed pos (min n (len - pos), how, pad)) 0 chunks in
+      ignore (feed pos (len - pos, 2, 3));
+      String.equal (Crypto.Sha256.finalize ctx) (Crypto.Sha256.digest msg))
+
 let suite =
   suite
   @ [
@@ -207,4 +268,6 @@ let suite =
       Alcotest.test_case "rsa cross-key rejection" `Slow test_rsa_cross_key_rejection;
       QCheck_alcotest.to_alcotest prop_sha256_distinct;
       QCheck_alcotest.to_alcotest prop_sha256_incremental_eq;
+      Alcotest.test_case "sha256 every length to 300" `Quick test_sha256_all_lengths;
+      QCheck_alcotest.to_alcotest prop_sha256_chunked;
     ]

@@ -213,4 +213,24 @@ let cases (Row { name; scenario; small; digest; invalid }) =
     (fun (law, f) -> Alcotest.test_case (name ^ ": " ^ law) `Quick f)
     [ ("replay", replay); ("domains", domains); ("shards", shards); ("invalid configs", invalid); ("gates", gates) ]
 
-let suite = List.concat_map cases rows
+(* The small configs above never trip a breaker; the default sizes do.
+   One case per scenario runs its default config, asserts that the
+   breakers tripped, and pins the summary's digest. *)
+let breakers =
+  let qos () =
+    let r = Fleet.Qos_scenario.run Fleet.Qos_scenario.default_config in
+    Alcotest.(check bool) "tenant quarantines > 0" true (r.Fleet.Qos_scenario.q_quarantines > 0);
+    Alcotest.(check int) "pinned summary digest" 561114873 (Par.Digest.string (Fleet.Qos_scenario.summary r))
+  in
+  let chaos () =
+    let r = Fleet.Chaos.run Fleet.Chaos.default_config in
+    Alcotest.(check bool) "quarantines > 0" true (r.Fleet.Chaos.quarantines > 0);
+    Alcotest.(check bool) "recovery samples > 0" true (r.Fleet.Chaos.recovery_ms <> []);
+    Alcotest.(check int) "pinned summary digest" 460098006 (Par.Digest.string (Fleet.Chaos.summary r))
+  in
+  [
+    Alcotest.test_case "qos: default size trips the breaker" `Slow qos;
+    Alcotest.test_case "chaos: default size trips the breakers" `Slow chaos;
+  ]
+
+let suite = List.concat_map cases rows @ breakers
